@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race cover bench bench-json bench-compare fuzz fuzz-smoke repl-integration index-integration watch-integration experiments tools clean
+.PHONY: all build test check race cover bench bench-build bench-json bench-compare fuzz fuzz-smoke repl-integration index-integration watch-integration experiments tools clean
 
 all: build check
 
@@ -11,20 +11,28 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# check is the full gate: vet plus the whole suite under the race
-# detector (the observability layer counts from worker goroutines, so
-# race coverage is part of correctness here), then the overload tests
-# again explicitly — the admission controller's shed path must hold
-# under the race detector — the zero-alloc pin for unsampled tracing,
-# and the cancellation/trace overhead benchmarks, which keep the cost
-# of threading a context (and a span) through the join loops visible
-# on every run.
-check:
+# check is the full gate: the benchmark module's build, vet plus the
+# whole suite under the race detector (the observability layer counts
+# from worker goroutines, so race coverage is part of correctness
+# here), then the overload tests again explicitly — the admission
+# controller's shed path must hold under the race detector — the
+# zero-alloc pin for unsampled tracing, and the cancellation/trace
+# overhead benchmarks, which keep the cost of threading a context (and
+# a span) through the join loops visible on every run.
+check: bench-build
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run Overload ./internal/httpapi/
 	$(GO) test -run TestTraceOverheadZeroAlloc -count=1 ./internal/query/
 	$(GO) test -run xxx -bench 'BenchmarkCancellationOverhead|BenchmarkTraceOverhead' -benchtime 200ms ./internal/query/
+
+# bench-build compiles and vets benchmark/ with the environment of
+# benchmark/run.sh. It is a module of its own that imports
+# repro/internal/..., so `go build ./...` and `go test ./...` do not
+# notice when a rename in internal/* stops it compiling; this does.
+bench-build:
+	cd benchmark && GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local $(GO) build -o /dev/null .
+	cd benchmark && GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local $(GO) vet .
 
 race:
 	$(GO) test -race ./...
@@ -55,7 +63,9 @@ bench-json:
 		| $(GO) run ./cmd/benchjson parse > BENCH_core.json
 
 # bench-compare gates the fresh BENCH_core.json against the committed
-# pre-optimization baseline. Only allocs/op is gated hard (it is
+# baseline: BENCH_baseline.txt is the raw output of the one bench-json
+# run (one machine) that BENCH_core.json was parsed from — regenerate
+# the two together. Only allocs/op is gated hard (it is
 # deterministic); ns/op is gated at a coarse threshold that catches
 # order-of-magnitude regressions without tripping on shared-runner
 # noise.
@@ -85,7 +95,7 @@ fuzz-smoke:
 repl-integration:
 	$(GO) test -race -count=1 ./internal/repl/
 	$(GO) test -race -count=1 -run 'Replica|Replication|Trace' ./internal/httpapi/
-	$(GO) test -race -count=1 -run 'Repl|CacheInvalidation' ./internal/store/
+	$(GO) test -race -count=1 -run 'Repl' ./internal/store/
 
 # index-integration runs the persistent term-index lifecycle tests
 # under the race detector: segment codec and shard semantics, cold-start
@@ -104,7 +114,7 @@ index-integration:
 # replication stream.
 watch-integration:
 	$(GO) test -race -count=1 ./internal/standing/
-	$(GO) test -race -count=1 -run 'Watch|Manifest|FastPath|LegacyAPI' ./internal/httpapi/
+	$(GO) test -race -count=1 -run 'Watch|Manifest|FastPath' ./internal/httpapi/
 	$(GO) test -race -count=1 -run 'FacadeWatch' .
 
 experiments:

@@ -11,16 +11,11 @@ package xfrag
 // Run with: go test -bench=Ablation -benchmem
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/docgen"
-	"repro/internal/filter"
-	"repro/internal/index"
-	"repro/internal/query"
 	"repro/internal/relstore"
 	"repro/internal/xmltree"
 )
@@ -173,27 +168,4 @@ func BenchmarkAblationSubsetCheck(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationParallel measures worker scaling of the push-down
-// evaluation on a workload large enough to amortize goroutine fan-out.
-func BenchmarkAblationParallel(b *testing.B) {
-	d, err := docgen.Generate(docgen.Config{
-		Seed: 37, Sections: 10, MeanFanout: 5, Depth: 3, VocabSize: 500,
-		Plant: map[string]int{"parterma": 24, "partermb": 24},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := index.New(d)
-	q := query.MustNew([]string{"parterma", "partermb"}, filter.MaxSize(6))
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := query.Evaluate(x, q, query.Options{Strategy: cost.PushDown, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -457,30 +457,6 @@ func BenchmarkEffectiveness(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactIndex compares raw and delta-varint posting lookups
-// and reports the space ratio.
-func BenchmarkCompactIndex(b *testing.B) {
-	d, err := docgen.Generate(docgen.Config{Seed: 7, Sections: 12, MeanFanout: 5, Depth: 3, VocabSize: 800})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := index.New(d)
-	c := index.Compact(x)
-	term := x.Terms()[len(x.Terms())/2]
-	b.Logf("postings: raw %d B, compact %d B (ratio %.2f)",
-		c.RawBytes(), c.BlobBytes(), float64(c.BlobBytes())/float64(c.RawBytes()))
-	b.Run("raw-lookup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = x.LookupExact(term)
-		}
-	})
-	b.Run("compact-lookup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = c.LookupExact(term)
-		}
-	})
-}
-
 // BenchmarkCollectionSearch measures multi-document fan-out with
 // ranking and merging (sequential per-document work dominates; the
 // fan-out is concurrent).
@@ -504,7 +480,7 @@ func BenchmarkCollectionSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Search("xquery optimization", "size<=4", query.Options{Strategy: cost.PushDown})
+		res, err := SearchContext(context.Background(), c, "xquery optimization", "size<=4", WithStrategy(cost.PushDown))
 		if err != nil || len(res.Hits) == 0 {
 			b.Fatalf("hits=%d err=%v", len(res.Hits), err)
 		}
@@ -579,7 +555,11 @@ func BenchmarkShardedSearch(b *testing.B) {
 				ctx := context.Background()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := st.Search(ctx, "alpha retrieval", "", query.Options{Auto: true}, 10)
+					q, err := query.Parse("alpha retrieval", "")
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := st.Run(ctx, q, query.Options{Auto: true}, 10)
 					if err != nil {
 						b.Fatal(err)
 					}

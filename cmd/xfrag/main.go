@@ -52,7 +52,6 @@ func run() error {
 		outline   = flag.Bool("outline", false, "print the document outline and exit")
 		docstats  = flag.Bool("docstats", false, "print document shape statistics and exit")
 		groupsOff = flag.Bool("flat", false, "print a flat fragment list instead of overlap groups")
-		workers   = flag.Int("workers", 0, "parallel join workers for push-down (0=sequential, -1=GOMAXPROCS)")
 		dotOut    = flag.String("dot", "", "write a Graphviz rendering of the document with answer nodes highlighted to this file")
 		repl      = flag.Bool("repl", false, "interactive mode: read queries from stdin ('keywords :: filter' per line)")
 	)
@@ -87,21 +86,12 @@ func run() error {
 		return fmt.Errorf("need -query keywords")
 	}
 
-	opts := query.Options{Workers: *workers, Trace: *trace}
-	switch *strategy {
-	case "auto":
-		opts.Auto = true
-	case "brute-force":
-		opts.Strategy = cost.BruteForce
-	case "naive":
-		opts.Strategy = cost.Naive
-	case "set-reduction":
-		opts.Strategy = cost.SetReduction
-	case "push-down":
-		opts.Strategy = cost.PushDown
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
+	// Under auto, strat is the strategy -explain displays (push-down).
+	strat, auto, err := cost.ParseStrategy(*strategy)
+	if err != nil {
+		return err
 	}
+	opts := query.Options{Strategy: strat, Auto: auto, Trace: *trace}
 
 	q, err := query.Parse(*keywords, *filterStr)
 	if err != nil {
@@ -110,12 +100,8 @@ func run() error {
 	if *explain {
 		fmt.Println("logical plan:")
 		fmt.Print(q.LogicalPlan().Render())
-		s := opts.Strategy
-		if opts.Auto {
-			s = cost.PushDown
-		}
-		fmt.Printf("physical plan (%v):\n", s)
-		fmt.Print(q.PhysicalPlan(s).Render())
+		fmt.Printf("physical plan (%v):\n", strat)
+		fmt.Print(q.PhysicalPlan(strat).Render())
 		fmt.Println()
 	}
 
@@ -213,7 +199,11 @@ func runREPL(eng *engine.Engine, in io.Reader, out io.Writer) error {
 			return nil
 		}
 		keywords, filterSpec, _ := strings.Cut(line, "::")
-		ans, err := eng.Query(strings.TrimSpace(keywords), strings.TrimSpace(filterSpec), query.Options{Auto: true})
+		var ans *engine.Answer
+		q, err := query.Parse(strings.TrimSpace(keywords), strings.TrimSpace(filterSpec))
+		if err == nil {
+			ans, err = eng.RunContext(context.Background(), q, query.Options{Auto: true})
+		}
 		if err != nil {
 			fmt.Fprintf(out, "error: %v\n", err)
 			continue

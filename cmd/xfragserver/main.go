@@ -7,13 +7,11 @@
 //	xfragserver -paper -addr :8080          # serve the Figure 1 document
 //	xfragserver -data-dir /var/lib/xfrag -shards 8 -ingest-workers 4
 //
-// Endpoints (the retired un-versioned /api/* aliases are gone by
-// default; -legacy-api re-mounts them with a Deprecation header —
-// build against /api/v1):
+// Endpoints:
 //
 //	GET  /healthz                 liveness (process is up)
 //	GET  /readyz                  readiness (503 during WAL replay / queue saturation)
-//	GET  /api/v1                  machine-readable route manifest (method, path, params, deprecation)
+//	GET  /api/v1                  machine-readable route manifest (method, path, params)
 //	GET  /api/v1/docs
 //	POST /api/v1/docs             {"name": "...", "xml": "<...>"}
 //	POST /api/v1/docs?async=1     202 + job ID; 429 when the ingest queue is full
@@ -113,14 +111,12 @@ func main() {
 	primaryURL := flag.String("primary-url", "", "primary's base URL, e.g. http://10.0.0.1:8080 (with -role=replica)")
 	maxStaleness := flag.Duration("max-staleness", 30*time.Second, "replica staleness bound: /readyz reports 503 when replication lag exceeds it (with -role=replica)")
 	replRetry := flag.Duration("repl-retry", 250*time.Millisecond, "back-off between replication stream reconnects (with -role=replica)")
-	resultCache := flag.Int("result-cache", 0, "per-document LRU result cache entries; 0 disables (with -data-dir or -role=replica)")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/ and /debug/vars (profiling; keep off on untrusted networks)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests (0..1] traced into the flight recorder; 0 samples none (requests can still force a trace with ?trace=1 or a sampled Traceparent header)")
 	slowQuery := flag.Duration("slow-query", 250*time.Millisecond, "traced requests at or over this duration land in the slow-query ring at /api/v1/debug/slow")
 	traceBuffer := flag.Int("trace-buffer", 128, "flight recorder ring capacity (recent and slow rings each hold this many traces)")
 	maxSubscriptions := flag.Int("max-subscriptions", 0, "cap on registered standing queries (/api/v1/watch); 0 means 64, negative disables the watch API")
 	watchBuffer := flag.Int("watch-buffer", 0, "per-subscription event-ring capacity for resumable watch streams; 0 means 256")
-	legacyAPI := flag.Bool("legacy-api", false, "re-mount the retired un-versioned /api/* aliases (deprecated; they answer with a Deprecation header)")
 	quiet := flag.Bool("quiet", false, "disable the structured request log on stderr")
 	flag.Parse()
 	if *traceSample < 0 || *traceSample > 1 {
@@ -171,7 +167,6 @@ func main() {
 		Recorder:           recorder,
 		MaxSubscriptions:   *maxSubscriptions,
 		WatchBuffer:        *watchBuffer,
-		LegacyAPI:          *legacyAPI,
 	}
 
 	// The signal context is created before the backend so the
@@ -214,7 +209,6 @@ func main() {
 			IngestWorkers:    *ingestWorkers,
 			QueueSize:        *queueSize,
 			BackgroundReplay: *bgReplay,
-			CacheEntries:     *resultCache,
 			IndexDir:         *indexDir,
 			IndexFlushBytes:  *indexFlushBytes,
 		})
@@ -252,9 +246,8 @@ func main() {
 		// replicated WAL stream, so posting-first pruning serves the
 		// same answers as the primary.
 		st, err = store.Open(store.Options{
-			Shards:       *shards,
-			CacheEntries: *resultCache,
-			MemoryIndex:  true,
+			Shards:      *shards,
+			MemoryIndex: true,
 		})
 		if err != nil {
 			log.Fatalf("replica store: %v", err)
@@ -280,9 +273,6 @@ func main() {
 		handler = httpapi.NewStoreWithConfig(st, cfg)
 	default:
 		coll := collection.New()
-		if *resultCache > 0 {
-			coll.SetResultCache(*resultCache)
-		}
 		for _, d := range preload {
 			if err := coll.Add(d); err != nil {
 				log.Fatalf("add %s: %v", d.Name(), err)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	// Tight and loose retrieval: the β knob trades focus for recall.
 	for _, beta := range []int{3, 6, 10} {
 		spec := fmt.Sprintf("size<=%d", beta)
-		ans, err := eng.Query("holography interference", spec, xfrag.Options{Auto: true})
+		ans, err := xfrag.QueryContext(context.Background(), eng, "holography interference", spec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func main() {
 	// Show the best hits for the working β, grouped so overlapping
 	// sub-fragments do not swamp the list (Section 5), and ranked by
 	// TF·IDF keyword evidence (the §6 complement).
-	ans, err := eng.Query("holography interference", "size<=6,height<=2", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "holography interference", "size<=6,height<=2")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -40,7 +41,7 @@ func main() {
 
 	// Run every strategy; the answer sets are identical, the work is not.
 	for _, s := range []xfrag.Strategy{xfrag.BruteForce, xfrag.Naive, xfrag.SetReduction, xfrag.PushDown} {
-		ans, err := eng.Run(q, xfrag.Options{Strategy: s})
+		ans, err := xfrag.RunContext(context.Background(), eng, q, xfrag.WithStrategy(s))
 		if errors.Is(err, core.ErrBudgetExceeded) {
 			fmt.Printf("%-18v infeasible (budget exceeded) — Section 3.1's point about the naive powerset join\n", s)
 			continue
@@ -69,7 +70,7 @@ func main() {
 
 	// Auto mode picks for you: with an anti-monotonic filter it is
 	// always push-down (Theorem 3 guarantees no loss).
-	ans, err := eng.Run(q, xfrag.Options{Auto: true})
+	ans, err := xfrag.RunContext(context.Background(), eng, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -32,7 +33,7 @@ func main() {
 	fmt.Println()
 
 	// The algebraic answer.
-	ans, err := eng.Query("XQuery optimization", "size<=3", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "XQuery optimization", "size<=3")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,7 +37,7 @@ func main() {
 	// Find fragments relating "keyword" and "filters": the terms
 	// appear in different sections, so the algebra must stitch
 	// fragments together across the tree.
-	ans, err := eng.Query("keyword filters", "size<=5", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "keyword filters", "size<=5")
 	if err != nil {
 		log.Fatal(err)
 	}

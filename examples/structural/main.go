@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 		{"size<=8,contains=//par", "contains=//par (residual): require a paragraph node"},
 	}
 	for _, r := range runs {
-		ans, err := eng.Query("XQuery optimization", r.filter, xfrag.Options{Auto: true})
+		ans, err := xfrag.QueryContext(context.Background(), eng, "XQuery optimization", r.filter)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +38,7 @@ func main() {
 	fmt.Println()
 
 	// Inspect one structurally confined answer with its witnesses.
-	ans, err := eng.Query("XQuery optimization", "size<=3,within=//section", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "XQuery optimization", "size<=3,within=//section")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package xfrag_test
 // downstream user composes the library.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -40,7 +41,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := coll.Search("fragmenting retrieval", "size<=5", xfrag.Options{Auto: true})
+	res, err := xfrag.SearchContext(context.Background(), coll, "fragmenting retrieval", "size<=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestEndToEndHTTP(t *testing.T) {
 // facade.
 func TestRankerOnEngine(t *testing.T) {
 	eng := xfrag.NewEngine(xfrag.FigureOneDocument())
-	ans, err := eng.Query("xquery optimization", "size<=3", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "xquery optimization", "size<=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestPlayDocument(t *testing.T) {
 
 	// "scroll" and "neighbourhood" co-occur only in Act II Scene I:
 	// the answer should be a within-scene fragment, not a whole act.
-	ans, err := eng.Query("scroll neighbourhood", "size<=6,within=//scene", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "scroll neighbourhood", "size<=6,within=//scene")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestPlaySpeakerSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each answer must be confined to a single speech.
-	ans, err := eng.Query("isabella wandering", "within=//speech,size<=4", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "isabella wandering", "within=//speech,size<=4")
 	if err != nil {
 		t.Fatal(err)
 	}

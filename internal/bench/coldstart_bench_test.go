@@ -69,7 +69,11 @@ func restart(b *testing.B, dir, idir string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := st.Search(context.Background(), "needleterm", "", query.Options{Auto: true}, 1)
+	q, err := query.Parse("needleterm", "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := st.Run(context.Background(), q, query.Options{Auto: true}, 1)
 	if err != nil || len(r.Hits) == 0 {
 		b.Fatalf("post-restart search: %v (%d hits)", err, len(r.Hits))
 	}

@@ -354,13 +354,20 @@ func RFSweep(seed int64) []RFRow {
 		// evaluations run in the same process (the old global-counter
 		// deltas could absorb their joins).
 		var cReduce, cBudgeted, cChecked obs.EvalCounters
-		reduced := core.ReduceCounted(&cReduce, F)
+		const noBudget = 1 << 30
+		reduced := core.ReduceState(core.NewEvalState(&cReduce), F)
 		reduceJoins := cReduce.Joins()
 
-		budgeted := core.SelfJoinTimesCounted(&cBudgeted, F, max(reduced.Len(), 1))
+		budgeted, err := core.SelfJoinTimesBounded(nil, core.NewEvalState(&cBudgeted), F, max(reduced.Len(), 1), noBudget)
+		if err != nil {
+			panic("RFSweep: budgeted self join: " + err.Error())
+		}
 		budgetedJoins := cBudgeted.Joins()
 
-		checked := core.FixedPointNaiveCounted(&cChecked, F)
+		checked, err := core.FixedPointNaiveBounded(nil, core.NewEvalState(&cChecked), F, noBudget)
+		if err != nil {
+			panic("RFSweep: checked fixed point: " + err.Error())
+		}
 		checkingJoins := cChecked.Joins()
 
 		if !budgeted.Equal(checked) {
@@ -373,7 +380,7 @@ func RFSweep(seed int64) []RFRow {
 		// the first self-join iteration re-derives — come from the
 		// memo.
 		var cShared obs.EvalCounters
-		shared, err := core.FixedPointBoundedCtx(nil, core.NewEvalState(&cShared), F, 1<<30)
+		shared, err := core.FixedPointBounded(nil, core.NewEvalState(&cShared), F, noBudget)
 		if err != nil {
 			panic("RFSweep: shared-state fixed point: " + err.Error())
 		}

@@ -49,19 +49,16 @@ type Change struct {
 }
 
 // Collection is a set of named, indexed documents. Add documents
-// first, then query; Add and Search must not run concurrently with
-// each other, but any number of Searches may run in parallel.
+// first, then query; Add and RunContext must not run concurrently with
+// each other, but any number of searches may run in parallel.
 type Collection struct {
 	mu      sync.RWMutex
 	engines map[string]*engine.Engine
 	order   []string     // insertion order, for deterministic iteration
 	metrics *obs.Metrics // shared by every per-document engine
-	// workers bounds the per-document fan-out of Run/RunContext;
+	// workers bounds the per-document fan-out of RunContext;
 	// 0 means GOMAXPROCS (see SetSearchWorkers).
 	workers int
-	// cacheEntries is the per-document result-cache capacity applied
-	// to every engine (0 disables; see SetResultCache).
-	cacheEntries int
 	// listener, when set, observes every mutation (see
 	// SetChangeListener). Called under the write lock, so mutation
 	// order and notification order agree.
@@ -85,7 +82,7 @@ func New() *Collection {
 // per-document engine records into.
 func (c *Collection) Metrics() *obs.Metrics { return c.metrics }
 
-// SetSearchWorkers bounds how many documents a single Run/RunContext
+// SetSearchWorkers bounds how many documents a single RunContext
 // evaluates concurrently. n <= 0 restores the default
 // (GOMAXPROCS). Safe to call between searches; a search in flight
 // keeps the bound it started with.
@@ -171,24 +168,6 @@ func (c *Collection) publishEpochLocked() {
 	c.metrics.Gauge(obs.MPlannerStatsEpoch).Set(int64(c.stats.StatsEpoch()))
 }
 
-// SetResultCache sets the per-document result-cache capacity (in
-// entries) applied to every current and future engine. n <= 0
-// disables caching. Invalidation rides on engine immutability:
-// replacing a document (Remove + Add) builds a fresh engine with an
-// empty cache, so no answer computed against the old content can be
-// served for the new one.
-func (c *Collection) SetResultCache(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.cacheEntries = n
-	for _, eng := range c.engines {
-		eng.EnableCache(n)
-	}
-}
-
 // Add indexes doc under its document name. It returns an error if the
 // name is already taken.
 func (c *Collection) Add(doc *xmltree.Document) error {
@@ -199,9 +178,6 @@ func (c *Collection) Add(doc *xmltree.Document) error {
 		return fmt.Errorf("collection: duplicate document %q", name)
 	}
 	eng := engine.NewWithMetrics(doc, c.metrics)
-	if c.cacheEntries > 0 {
-		eng.EnableCache(c.cacheEntries)
-	}
 	c.engines[name] = eng
 	c.order = append(c.order, name)
 	c.observeUpsertLocked(eng)
@@ -220,9 +196,6 @@ func (c *Collection) AddWithPostings(doc *xmltree.Document, postings map[string]
 		return fmt.Errorf("collection: duplicate document %q", name)
 	}
 	eng := engine.NewFromPostings(doc, postings, c.metrics)
-	if c.cacheEntries > 0 {
-		eng.EnableCache(c.cacheEntries)
-	}
 	c.engines[name] = eng
 	c.order = append(c.order, name)
 	c.observeUpsertLocked(eng)
@@ -246,9 +219,6 @@ func (c *Collection) AddXML(name, xml string) error {
 // partially-populated state. Duplicate names in docs are an error and
 // leave the collection unchanged.
 func (c *Collection) SetAll(docs []*xmltree.Document) error {
-	c.mu.RLock()
-	cacheEntries := c.cacheEntries
-	c.mu.RUnlock()
 	engines := make(map[string]*engine.Engine, len(docs))
 	order := make([]string, 0, len(docs))
 	for _, doc := range docs {
@@ -256,11 +226,7 @@ func (c *Collection) SetAll(docs []*xmltree.Document) error {
 		if _, dup := engines[name]; dup {
 			return fmt.Errorf("collection: duplicate document %q", name)
 		}
-		eng := engine.NewWithMetrics(doc, c.metrics)
-		if cacheEntries > 0 {
-			eng.EnableCache(cacheEntries)
-		}
-		engines[name] = eng
+		engines[name] = engine.NewWithMetrics(doc, c.metrics)
 		order = append(order, name)
 	}
 	c.mu.Lock()
@@ -288,13 +254,7 @@ func (c *Collection) SetAll(docs []*xmltree.Document) error {
 // name is absent (which Remove followed by Add would open). Reports
 // whether an existing document was replaced.
 func (c *Collection) Replace(doc *xmltree.Document) bool {
-	c.mu.RLock()
-	cacheEntries := c.cacheEntries
-	c.mu.RUnlock()
 	eng := engine.NewWithMetrics(doc, c.metrics)
-	if cacheEntries > 0 {
-		eng.EnableCache(cacheEntries)
-	}
 	name := doc.Name()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,7 +325,7 @@ type Hit struct {
 
 // Result is a merged collection search result.
 type Result struct {
-	// Hits in descending score order.
+	// Hits in serving order (see BetterHit).
 	Hits []Hit
 	// PerDocument maps document name → its evaluation statistics.
 	PerDocument map[string]query.Stats
@@ -378,58 +338,30 @@ type Result struct {
 	Traces map[string]*obs.Span
 }
 
-// Search evaluates the keyword/filter query on every document
-// concurrently and merges the ranked results. opts applies to every
-// per-document evaluation. It is SearchContext with a background
-// context.
-func (c *Collection) Search(keywords, filterSpec string, opts query.Options) (*Result, error) {
-	return c.SearchContext(context.Background(), keywords, filterSpec, opts)
-}
-
-// SearchContext parses and evaluates the keyword/filter query under
-// ctx: the deadline and cancellation reach every per-document join
-// loop (see RunContext for the partial-result semantics).
-func (c *Collection) SearchContext(ctx context.Context, keywords, filterSpec string, opts query.Options) (*Result, error) {
-	q, err := query.Parse(keywords, filterSpec)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunContext(ctx, q, opts)
-}
-
-// Run evaluates a prebuilt query across the collection. It is
-// RunContext with a background context, kept for callers that have no
-// deadline to honor.
-func (c *Collection) Run(q query.Query, opts query.Options) (*Result, error) {
-	return c.RunContext(context.Background(), q, opts)
-}
-
-// RunContext evaluates a prebuilt query across the collection with a
-// bounded worker pool (see SetSearchWorkers) instead of one goroutine
-// per document. When ctx is cancelled or its deadline passes,
-// documents not yet started are skipped, evaluations in flight stop
-// cooperatively inside their join loops (engine.RunContext), and both
-// are reported in Result.Errors; documents already evaluated keep
-// their hits, so the caller gets partial results rather than a hang.
+// RunContext evaluates a prebuilt query on every document of the
+// collection: RunContextOn with no allow-list. Parse keyword/filter
+// strings with query.Parse.
 func (c *Collection) RunContext(ctx context.Context, q query.Query, opts query.Options) (*Result, error) {
-	return c.runContext(ctx, q, opts, nil)
+	return c.RunContextOn(ctx, q, opts, nil)
 }
 
-// RunContextOn evaluates the query on only the named documents — the
-// posting-first path: the store's global term index proves most
-// documents answerless and passes the survivors here. Names keep the
+// RunContextOn evaluates a prebuilt query on the documents named in
+// allow — the posting-first path: the store's global term index proves
+// most documents answerless and passes the survivors here. A nil allow
+// means no restriction (gindex.Candidates returns nil names exactly
+// when it could not restrict anything); a non-nil allow, even an empty
+// one, evaluates only the documents it names. Names keep the
 // collection's insertion order regardless of their order in allow;
-// unknown names are skipped (a candidate may race a concurrent
-// Remove). A nil or empty allow evaluates nothing — use RunContext
-// for the unrestricted scan.
+// unknown names are skipped (a candidate may race a concurrent Remove).
+//
+// Evaluation runs on a bounded worker pool (see SetSearchWorkers)
+// instead of one goroutine per document. When ctx is cancelled or its
+// deadline passes, documents not yet started are skipped, evaluations
+// in flight stop cooperatively inside their join loops
+// (engine.RunContext), and both are reported in Result.Errors;
+// documents already evaluated keep their hits, so the caller gets
+// partial results rather than a hang.
 func (c *Collection) RunContextOn(ctx context.Context, q query.Query, opts query.Options, allow []string) (*Result, error) {
-	if allow == nil {
-		allow = []string{}
-	}
-	return c.runContext(ctx, q, opts, allow)
-}
-
-func (c *Collection) runContext(ctx context.Context, q query.Query, opts query.Options, allow []string) (*Result, error) {
 	c.mu.RLock()
 	var names []string
 	if allow == nil {
@@ -541,17 +473,28 @@ func (c *Collection) runContext(ctx context.Context, q query.Query, opts query.O
 			out.Traces[r.name] = r.trace
 		}
 	}
-	sort.SliceStable(out.Hits, func(i, j int) bool {
-		if out.Hits[i].Score != out.Hits[j].Score {
-			return out.Hits[i].Score > out.Hits[j].Score
-		}
-		return out.Hits[i].Document < out.Hits[j].Document
-	})
+	sort.Slice(out.Hits, func(i, j int) bool { return BetterHit(out.Hits[i], out.Hits[j]) })
 	return out, nil
 }
 
+// BetterHit is the serving order of hits: descending score, ties by
+// ascending document name, then by the fragment's canonical order. It
+// is a strict total order over the distinct hits of a search, so the
+// merged list — and every limit/offset page cut from it, whether by a
+// full sort here or by the store's top-k heap — is the same whatever
+// order the hits arrived in.
+func BetterHit(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Document != b.Document {
+		return a.Document < b.Document
+	}
+	return core.LessFragments(a.Fragment, b.Fragment)
+}
+
 // RankTerms flattens the query's groups into the plain terms the
-// ranker scores on — the exact term list Search uses, exported so an
+// ranker scores on — the exact term list RunContext uses, exported so an
 // external view maintainer (internal/standing) can reproduce the
 // collection's ranking byte for byte.
 func RankTerms(q query.Query) []string { return normalizedTerms(q) }

@@ -29,9 +29,18 @@ func testCollection(t testing.TB) *Collection {
 	return c
 }
 
+// search parses a keyword/filter query and runs it across c.
+func search(c *Collection, keywords, filterSpec string, opts query.Options) (*Result, error) {
+	q, err := query.Parse(keywords, filterSpec)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunContext(context.Background(), q, opts)
+}
+
 func TestSearchAcrossDocuments(t *testing.T) {
 	c := testCollection(t)
-	res, err := c.Search("xquery optimization", "size<=3", query.Options{Auto: true})
+	res, err := search(c, "xquery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +126,7 @@ func TestPerDocumentError(t *testing.T) {
 	if err := c.Add(d); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Search("xquery optimization", "", query.Options{Strategy: 2 /* SetReduction */, MaxFragments: 50})
+	res, err := search(c, "xquery optimization", "", query.Options{Strategy: 2 /* SetReduction */, MaxFragments: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Search("xquery optimization", "size<=3", query.Options{Auto: true})
+			res, err := search(c, "xquery optimization", "size<=3", query.Options{Auto: true})
 			if err == nil && len(res.Hits) != 5 {
 				err = fmt.Errorf("hits = %d, want 5", len(res.Hits))
 			}
@@ -169,17 +178,17 @@ func TestConcurrentSearches(t *testing.T) {
 
 func TestSearchBadQuery(t *testing.T) {
 	c := testCollection(t)
-	if _, err := c.Search("", "", query.Options{}); err == nil {
+	if _, err := search(c, "", "", query.Options{}); err == nil {
 		t.Fatal("empty query must error")
 	}
-	if _, err := c.Search("x", "garbage<=", query.Options{}); err == nil {
+	if _, err := search(c, "x", "garbage<=", query.Options{}); err == nil {
 		t.Fatal("bad filter must error")
 	}
 }
 
 func TestEmptyCollection(t *testing.T) {
 	c := New()
-	res, err := c.Search("anything", "", query.Options{Auto: true})
+	res, err := search(c, "anything", "", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +215,7 @@ func TestRemove(t *testing.T) {
 		}
 	}
 	// Searches no longer see the removed document.
-	res, err := c.Search("xquery optimization", "size<=3", query.Options{Auto: true})
+	res, err := search(c, "xquery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,13 +258,13 @@ func TestRunContextCancelled(t *testing.T) {
 // merged result at any worker count, including a pool of one.
 func TestSearchWorkerPoolEquivalence(t *testing.T) {
 	c := testCollection(t)
-	base, err := c.Search("xquery optimization", "size<=3", query.Options{Auto: true})
+	base, err := search(c, "xquery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 16} {
 		c.SetSearchWorkers(workers)
-		res, err := c.Search("xquery optimization", "size<=3", query.Options{Auto: true})
+		res, err := search(c, "xquery optimization", "size<=3", query.Options{Auto: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -269,7 +278,7 @@ func TestSearchWorkerPoolEquivalence(t *testing.T) {
 		}
 	}
 	c.SetSearchWorkers(0) // restore default; also covers the reset path
-	if _, err := c.Search("xquery optimization", "", query.Options{Auto: true}); err != nil {
+	if _, err := search(c, "xquery optimization", "", query.Options{Auto: true}); err != nil {
 		t.Fatal(err)
 	}
 }

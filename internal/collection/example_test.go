@@ -1,6 +1,7 @@
 package collection_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/collection"
@@ -18,7 +19,11 @@ func Example() {
 		`<note><p>an aside about xquery optimization</p></note>`); err != nil {
 		panic(err)
 	}
-	res, err := c.Search("xquery optimization", "size<=3", query.Options{Auto: true})
+	q, err := query.Parse("xquery optimization", "size<=3")
+	if err != nil {
+		panic(err)
+	}
+	res, err := c.RunContext(context.Background(), q, query.Options{Auto: true})
 	if err != nil {
 		panic(err)
 	}

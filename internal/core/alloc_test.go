@@ -88,7 +88,7 @@ func TestPairwiseJoinAllocBound(t *testing.T) {
 	d := buildRandomDoc(t, rng, 400)
 	f1 := randomSet(t, rng, d, 12, 5)
 	f2 := randomSet(t, rng, d, 12, 5)
-	out, err := PairwiseJoinBounded(f1, f2, 1<<20)
+	out, err := PairwiseJoinBounded(bg, NewEvalState(nil), f1, f2, nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPairwiseJoinAllocBound(t *testing.T) {
 	// verify the bound scales with results rather than probes.
 	budget := float64(8*out.Len() + 64)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := PairwiseJoinBounded(f1, f2, 1<<20); err != nil {
+		if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), f1, f2, nil, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -113,7 +113,7 @@ func TestPairwiseJoinAllocBound(t *testing.T) {
 // acceptance criterion directly: evaluating through a fresh evaluation
 // state (cold memo) and through a reused state (warm memo, hits on
 // every repeated pair) yields equal answer sets for all fixed-point
-// strategies, and the parallel striping agrees with both.
+// strategies.
 func TestMemoizedJoinsIdenticalAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	d := buildRandomDoc(t, rng, 300)
@@ -128,11 +128,11 @@ func TestMemoizedJoinsIdenticalAnswers(t *testing.T) {
 
 	// Warm state: run ⊖ first so the self-join loop hits the memo.
 	st := NewEvalState(nil)
-	reduceState(st, f)
+	ReduceState(st, f)
 	if st.MemoLen() == 0 {
 		t.Fatal("reduce left no memo entries")
 	}
-	warm, err := FixedPointBoundedCtx(nil, st, f, 1<<20)
+	warm, err := FixedPointBounded(bg, st, f, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +140,13 @@ func TestMemoizedJoinsIdenticalAnswers(t *testing.T) {
 		t.Fatal("memo-warm fixed point disagrees with cold evaluation")
 	}
 
-	seq := FilteredFixedPoint(f, pred)
-	par, err := FilteredFixedPointParallel(f, pred, 4, 1<<20)
+	// The filtered closure through the same warm state must agree with
+	// the cold paper form.
+	warmF, err := FilteredFixedPointBounded(bg, st, f, pred, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Equal(par) {
-		t.Fatal("parallel filtered fixed point disagrees with sequential")
+	if !warmF.Equal(FilteredFixedPoint(f, pred)) {
+		t.Fatal("memo-warm filtered fixed point disagrees with cold evaluation")
 	}
 }

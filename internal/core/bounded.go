@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // ErrBudgetExceeded reports that an operation was aborted because its
@@ -21,16 +19,14 @@ func budgetError(op string, budget int) error {
 	return fmt.Errorf("%w: %s grew past %d fragments; add or tighten an anti-monotonic filter", ErrBudgetExceeded, op, budget)
 }
 
-// The *Ctx variants below are the primary implementations: each checks
-// the fragment budget on every insertion, polls ctx for cancellation
-// amortized (see checkCtx), and threads the per-evaluation *EvalState
-// (counters + pair-join memo) through every fragment join. The
-// context-free *Bounded/*BoundedCounted names remain as wrappers, so
-// existing callers and tests compile and behave unchanged; each wraps
-// its counters in a fresh EvalState, which scopes the memo to the one
-// operation. Callers wanting cross-operation memoization (the query
-// evaluator) build one EvalState per evaluation and call the *Ctx
-// forms directly.
+// The *Bounded functions are the evaluator form of each operator: they
+// check the fragment budget on every insertion, poll ctx for
+// cancellation amortized (see checkCtx), and thread the per-evaluation
+// *EvalState (counters + pair-join memo) through every fragment join.
+// The query evaluator builds one EvalState per evaluation, so pairs
+// re-joined across operators are served from the memo. The paper form
+// of each operator (PairwiseJoin, FixedPoint, …) is the same loop run
+// with no context, a fresh state and no budget.
 
 // symmetricSelfPass runs the F × F join pass exploiting commutativity:
 // each unordered pair is joined once and its mirror consumed again
@@ -53,7 +49,7 @@ func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, tick *
 			if useMemo {
 				j = st.JoinMemo(a, fs[bi])
 			} else {
-				j = JoinCounted(c, a, fs[bi])
+				j = joinCounted(c, a, fs[bi])
 			}
 			if err := consume(j); err != nil {
 				return err
@@ -70,31 +66,30 @@ func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, tick *
 	return nil
 }
 
-// PairwiseJoinBounded is PairwiseJoin aborting with ErrBudgetExceeded
-// once the result would exceed maxFragments.
-func PairwiseJoinBounded(f1, f2 *Set, maxFragments int) (*Set, error) {
-	return PairwiseJoinBoundedCtx(nil, NewEvalState(nil), f1, f2, maxFragments)
-}
-
-// PairwiseJoinBoundedCounted is PairwiseJoinBounded attributing the
-// work to c (nil-safe).
-func PairwiseJoinBoundedCounted(c *obs.EvalCounters, f1, f2 *Set, maxFragments int) (*Set, error) {
-	return PairwiseJoinBoundedCtx(nil, NewEvalState(c), f1, f2, maxFragments)
-}
-
-// PairwiseJoinBoundedCtx is PairwiseJoinBoundedCounted with
-// cooperative cancellation: ctx is polled amortized inside the join
-// loop and its error returned as soon as observed.
-func PairwiseJoinBoundedCtx(ctx context.Context, st *EvalState, f1, f2 *Set, maxFragments int) (*Set, error) {
+// PairwiseJoinBounded computes F1 ⋈ F2 (Definition 5), keeping only
+// the results pred accepts (nil pred keeps all), and aborts with
+// ErrBudgetExceeded once the result would exceed maxFragments. With an
+// anti-monotonic pred this is the push-down form licensed by Theorem 3:
+// σ_Pa(F1 ⋈ F2) = σ_Pa(σ_Pa(F1) ⋈ σ_Pa(F2)); callers filter the inputs
+// themselves and pass the same predicate here.
+func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
+	op := "pairwise join"
+	if pred != nil {
+		op = "filtered pairwise join"
+	}
 	c := st.Counters()
 	c.AddPairwiseJoins(1)
 	out := &Set{}
 	tick := 0
 	consume := func(j Fragment) error {
+		if pred != nil && !pred(j) {
+			c.AddFilterPrunes(1)
+			return nil
+		}
 		c.AddDedupProbes(1)
 		out.Add(j)
 		if out.Len() > maxFragments {
-			return budgetError("pairwise join", maxFragments)
+			return budgetError(op, maxFragments)
 		}
 		return nil
 	}
@@ -106,12 +101,13 @@ func PairwiseJoinBoundedCtx(ctx context.Context, st *EvalState, f1, f2 *Set, max
 		}
 		return out, nil
 	}
+	// Distinct operands never repeat a pair: join directly, no memo.
 	for _, a := range f1.frags {
 		for _, b := range f2.frags {
 			if err := checkCtx(ctx, &tick); err != nil {
 				return nil, err
 			}
-			if err := consume(JoinCounted(c, a, b)); err != nil {
+			if err := consume(joinCounted(c, a, b)); err != nil {
 				return nil, err
 			}
 		}
@@ -119,204 +115,53 @@ func PairwiseJoinBoundedCtx(ctx context.Context, st *EvalState, f1, f2 *Set, max
 	return out, nil
 }
 
-// SelfJoinTimesBounded is SelfJoinTimes with a fragment budget.
-func SelfJoinTimesBounded(f *Set, n, maxFragments int) (*Set, error) {
-	return SelfJoinTimesBoundedCtx(nil, NewEvalState(nil), f, n, maxFragments)
-}
-
-// SelfJoinTimesBoundedCounted is SelfJoinTimesBounded attributing the
-// work to c (nil-safe).
-func SelfJoinTimesBoundedCounted(c *obs.EvalCounters, f *Set, n, maxFragments int) (*Set, error) {
-	return SelfJoinTimesBoundedCtx(nil, NewEvalState(c), f, n, maxFragments)
-}
-
-// SelfJoinTimesBoundedCtx is SelfJoinTimesBoundedCounted with
-// cooperative cancellation inside the frontier loops.
-func SelfJoinTimesBoundedCtx(ctx context.Context, st *EvalState, f *Set, n, maxFragments int) (*Set, error) {
-	if n < 1 {
-		panic("core: SelfJoinTimesBounded requires n >= 1")
-	}
+// frontierClosure is the one semi-naive loop behind the self-join and
+// fixed-point family: starting from σ_pred(f) (nil pred keeps all), it
+// joins each iteration's newly discovered fragments against the base
+// set — older members have already met every element of it — keeping
+// the results pred accepts, until an iteration adds nothing or maxIter
+// iterations have run (0 means until empty). op labels the budget
+// error.
+func frontierClosure(ctx context.Context, st *EvalState, f *Set, pred func(Fragment) bool, maxIter, maxFragments int, op string) (*Set, error) {
 	c := st.Counters()
-	acc := f.Clone()
-	if acc.Len() > maxFragments {
-		return nil, budgetError("self join", maxFragments)
+	base := f
+	if pred != nil {
+		base = f.Select(pred)
+		c.AddFilterPrunes(uint64(f.Len() - base.Len()))
 	}
-	frontier := f.Fragments()
-	tick := 0
-	for i := 1; i < n && len(frontier) > 0; i++ {
-		c.AddFixedPointIterations(1)
-		var next []Fragment
-		consume := func(j Fragment) error {
-			c.AddDedupProbes(1)
-			if acc.Add(j) {
-				next = append(next, j)
-				if acc.Len() > maxFragments {
-					return budgetError("self join", maxFragments)
-				}
-			}
-			return nil
-		}
-		// Iteration 1 joins F × F — symmetric, so each unordered pair
-		// is computed once (served from the shared memo when ⊖'s
-		// witness probing already ran, on the Theorem 1 path). Later
-		// iterations join freshly discovered frontiers that can never
-		// repeat a pair — they join directly.
-		if i == 1 {
-			if err := symmetricSelfPass(ctx, st, f.Fragments(), &tick, consume); err != nil {
-				return nil, err
-			}
-			frontier = next
-			continue
-		}
-		for _, a := range frontier {
-			for _, b := range f.Fragments() {
-				if err := checkCtx(ctx, &tick); err != nil {
-					return nil, err
-				}
-				if err := consume(JoinCounted(c, a, b)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		frontier = next
-	}
-	return acc, nil
-}
-
-// FixedPointBounded computes F⁺ with Theorem 1's iteration budget and
-// a fragment budget.
-func FixedPointBounded(f *Set, maxFragments int) (*Set, error) {
-	return FixedPointBoundedCtx(nil, NewEvalState(nil), f, maxFragments)
-}
-
-// FixedPointBoundedCounted is FixedPointBounded attributing the work
-// (including the ⊖ computation's joins) to c (nil-safe).
-func FixedPointBoundedCounted(c *obs.EvalCounters, f *Set, maxFragments int) (*Set, error) {
-	return FixedPointBoundedCtx(nil, NewEvalState(c), f, maxFragments)
-}
-
-// FixedPointBoundedCtx is FixedPointBoundedCounted with cooperative
-// cancellation in the self-join loops (the ⊖ computation itself is
-// O(|F|³) joins and not interrupted mid-way; its cost is bounded by
-// the seed-set size, not the exponential expansion — and the shared
-// pair memo collapses its repeated witness joins to one computation
-// per distinct pair).
-func FixedPointBoundedCtx(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
-	k := reduceState(st, f).Len()
-	if k < 1 {
-		k = 1
-	}
-	return SelfJoinTimesBoundedCtx(ctx, st, f, k, maxFragments)
-}
-
-// FixedPointNaiveBounded computes F⁺ with fixed-point checking and a
-// fragment budget.
-func FixedPointNaiveBounded(f *Set, maxFragments int) (*Set, error) {
-	return FixedPointNaiveBoundedCtx(nil, NewEvalState(nil), f, maxFragments)
-}
-
-// FixedPointNaiveBoundedCounted is FixedPointNaiveBounded attributing
-// the work to c (nil-safe).
-func FixedPointNaiveBoundedCounted(c *obs.EvalCounters, f *Set, maxFragments int) (*Set, error) {
-	return FixedPointNaiveBoundedCtx(nil, NewEvalState(c), f, maxFragments)
-}
-
-// FixedPointNaiveBoundedCtx is FixedPointNaiveBoundedCounted with
-// cooperative cancellation inside the fixed-point iteration.
-func FixedPointNaiveBoundedCtx(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
-	c := st.Counters()
-	acc := f.Clone()
-	if acc.Len() > maxFragments {
-		return nil, budgetError("fixed point", maxFragments)
-	}
-	frontier := f.Fragments()
-	tick := 0
-	first := true
-	for len(frontier) > 0 {
-		c.AddFixedPointIterations(1)
-		var next []Fragment
-		consume := func(j Fragment) error {
-			c.AddDedupProbes(1)
-			if acc.Add(j) {
-				next = append(next, j)
-				if acc.Len() > maxFragments {
-					return budgetError("fixed point", maxFragments)
-				}
-			}
-			return nil
-		}
-		// The first pass joins F × F — symmetric, computed once per
-		// unordered pair; later frontiers never repeat a pair.
-		if first {
-			first = false
-			if err := symmetricSelfPass(ctx, st, f.Fragments(), &tick, consume); err != nil {
-				return nil, err
-			}
-			frontier = next
-			continue
-		}
-		for _, a := range frontier {
-			for _, b := range f.Fragments() {
-				if err := checkCtx(ctx, &tick); err != nil {
-					return nil, err
-				}
-				if err := consume(JoinCounted(c, a, b)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		frontier = next
-	}
-	return acc, nil
-}
-
-// FilteredFixedPointBounded computes σ_Pa(F⁺) with push-down and a
-// fragment budget. With a selective anti-monotonic predicate the
-// budget is rarely hit — which is the paper's optimization story.
-func FilteredFixedPointBounded(f *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	return FilteredFixedPointBoundedCtx(nil, NewEvalState(nil), f, pred, maxFragments)
-}
-
-// FilteredFixedPointBoundedCounted is FilteredFixedPointBounded
-// attributing joins, iterations and filter prunes to c (nil-safe).
-func FilteredFixedPointBoundedCounted(c *obs.EvalCounters, f *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	return FilteredFixedPointBoundedCtx(nil, NewEvalState(c), f, pred, maxFragments)
-}
-
-// FilteredFixedPointBoundedCtx is FilteredFixedPointBoundedCounted
-// with cooperative cancellation inside the fixed-point iteration.
-func FilteredFixedPointBoundedCtx(ctx context.Context, st *EvalState, f *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	c := st.Counters()
-	base := f.Select(pred)
-	c.AddFilterPrunes(uint64(f.Len() - base.Len()))
 	acc := base.Clone()
 	if acc.Len() > maxFragments {
-		return nil, budgetError("filtered fixed point", maxFragments)
+		return nil, budgetError(op, maxFragments)
 	}
 	frontier := base.Fragments()
 	tick := 0
-	first := true
-	for len(frontier) > 0 {
-		c.AddFixedPointIterations(1)
-		var next []Fragment
-		consume := func(j Fragment) error {
-			if !pred(j) {
-				c.AddFilterPrunes(1)
-				return nil
-			}
-			c.AddDedupProbes(1)
-			if acc.Add(j) {
-				next = append(next, j)
-				if acc.Len() > maxFragments {
-					return budgetError("filtered fixed point", maxFragments)
-				}
-			}
+	var next []Fragment // fragments first seen in the current iteration
+	consume := func(j Fragment) error {
+		if pred != nil && !pred(j) {
+			c.AddFilterPrunes(1)
 			return nil
 		}
-		// First pass is the symmetric base × base join — computed once
-		// per unordered pair; later frontiers never repeat a pair.
-		if first {
-			first = false
+		c.AddDedupProbes(1)
+		if acc.Add(j) {
+			next = append(next, j)
+			if acc.Len() > maxFragments {
+				return budgetError(op, maxFragments)
+			}
+		}
+		return nil
+	}
+	for iter := 0; len(frontier) > 0 && (maxIter == 0 || iter < maxIter); iter++ {
+		c.AddFixedPointIterations(1)
+		next = nil
+		// The first pass joins base × base — symmetric, so each
+		// unordered pair is computed once (served from the shared memo
+		// when ⊖'s witness probing already ran, on the Theorem 1 path).
+		// Later iterations join freshly discovered frontiers that can
+		// never repeat a pair — they join directly, in a loop written
+		// out here: calling consume from this function is a direct
+		// call, while routing it through a shared helper cost 5% on
+		// BenchmarkFilteredFixedPoint.
+		if iter == 0 {
 			if err := symmetricSelfPass(ctx, st, base.Fragments(), &tick, consume); err != nil {
 				return nil, err
 			}
@@ -328,7 +173,7 @@ func FilteredFixedPointBoundedCtx(ctx context.Context, st *EvalState, f *Set, pr
 				if err := checkCtx(ctx, &tick); err != nil {
 					return nil, err
 				}
-				if err := consume(JoinCounted(c, a, b)); err != nil {
+				if err := consume(joinCounted(c, a, b)); err != nil {
 					return nil, err
 				}
 			}
@@ -338,54 +183,45 @@ func FilteredFixedPointBoundedCtx(ctx context.Context, st *EvalState, f *Set, pr
 	return acc, nil
 }
 
-// PairwiseJoinFilteredBounded is PairwiseJoinFiltered with a fragment
-// budget.
-func PairwiseJoinFilteredBounded(f1, f2 *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	return PairwiseJoinFilteredBoundedCtx(nil, NewEvalState(nil), f1, f2, pred, maxFragments)
+// SelfJoinTimesBounded computes ⋈_n(F) (Theorem 1's notation; n ≥ 1)
+// with a fragment budget.
+func SelfJoinTimesBounded(ctx context.Context, st *EvalState, f *Set, n, maxFragments int) (*Set, error) {
+	if n < 1 {
+		panic("core: SelfJoinTimesBounded requires n >= 1")
+	}
+	if n == 1 {
+		// ⋈_1(F) = F: no join runs, only the budget applies.
+		if f.Len() > maxFragments {
+			return nil, budgetError("self join", maxFragments)
+		}
+		return f.Clone(), nil
+	}
+	return frontierClosure(ctx, st, f, nil, n-1, maxFragments, "self join")
 }
 
-// PairwiseJoinFilteredBoundedCounted is PairwiseJoinFilteredBounded
-// attributing joins and filter prunes to c (nil-safe).
-func PairwiseJoinFilteredBoundedCounted(c *obs.EvalCounters, f1, f2 *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	return PairwiseJoinFilteredBoundedCtx(nil, NewEvalState(c), f1, f2, pred, maxFragments)
+// FixedPointBounded computes F⁺ with Theorem 1's iteration budget
+// k = |⊖(F)| and a fragment budget. The ⊖ computation itself is
+// O(|F|³) joins and not interrupted mid-way; its cost is bounded by
+// the seed-set size, not the exponential expansion — and the shared
+// pair memo collapses its repeated witness joins to one computation
+// per distinct pair.
+func FixedPointBounded(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
+	k := ReduceState(st, f).Len()
+	if k < 1 {
+		k = 1
+	}
+	return SelfJoinTimesBounded(ctx, st, f, k, maxFragments)
 }
 
-// PairwiseJoinFilteredBoundedCtx is PairwiseJoinFilteredBoundedCounted
-// with cooperative cancellation inside the join loop.
-func PairwiseJoinFilteredBoundedCtx(ctx context.Context, st *EvalState, f1, f2 *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	c := st.Counters()
-	c.AddPairwiseJoins(1)
-	out := &Set{}
-	tick := 0
-	consume := func(j Fragment) error {
-		if !pred(j) {
-			c.AddFilterPrunes(1)
-			return nil
-		}
-		c.AddDedupProbes(1)
-		out.Add(j)
-		if out.Len() > maxFragments {
-			return budgetError("filtered pairwise join", maxFragments)
-		}
-		return nil
-	}
-	// A self join meets every unordered pair twice — the symmetric
-	// pass computes each once; distinct operands never repeat a pair.
-	if f1 == f2 {
-		if err := symmetricSelfPass(ctx, st, f1.frags, &tick, consume); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for _, a := range f1.frags {
-		for _, b := range f2.frags {
-			if err := checkCtx(ctx, &tick); err != nil {
-				return nil, err
-			}
-			if err := consume(JoinCounted(c, a, b)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+// FixedPointNaiveBounded computes F⁺ with fixed-point checking and a
+// fragment budget.
+func FixedPointNaiveBounded(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
+	return frontierClosure(ctx, st, f, nil, 0, maxFragments, "fixed point")
+}
+
+// FilteredFixedPointBounded computes σ_Pa(F⁺) with push-down and a
+// fragment budget. With a selective anti-monotonic predicate the
+// budget is rarely hit — which is the paper's optimization story.
+func FilteredFixedPointBounded(ctx context.Context, st *EvalState, f *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
+	return frontierClosure(ctx, st, f, pred, 0, maxFragments, "filtered fixed point")
 }

@@ -3,10 +3,10 @@ package core
 import "repro/internal/obs"
 
 // EvalState is the per-evaluation mutable kernel state threaded
-// through the algebra's *Ctx operation variants, the way
-// *obs.EvalCounters used to be: one value per query evaluation, never
-// shared across evaluations. It carries the operator counters plus
-// the pair-join memo.
+// through the algebra's evaluator-form operators (the *Bounded family,
+// ReduceState, MultiPowersetJoinTrace): one value per query evaluation,
+// never shared across evaluations. It carries the operator counters
+// plus the pair-join memo.
 //
 // The memo caches fragment-join results keyed on the operands'
 // identity-hash pair. Fragment join is commutative and deterministic
@@ -33,10 +33,8 @@ import "repro/internal/obs"
 // directly instead (symmetricSelfPass) — semi-naive frontiers never
 // repeat a pair, so map inserts there would be pure overhead.
 //
-// EvalState is not safe for concurrent use; the parallel striped join
-// gives its workers the shared atomic counters but skips the memo
-// (stripes never repeat a pair within a call). All methods are
-// nil-safe: a nil *EvalState counts nothing and memoizes nothing.
+// EvalState is not safe for concurrent use. All methods are nil-safe:
+// a nil *EvalState counts nothing and memoizes nothing.
 type EvalState struct {
 	counters *obs.EvalCounters
 	memo     map[pairKey]memoEntry
@@ -80,12 +78,11 @@ func (st *EvalState) MemoLen() int {
 
 // JoinMemo computes f1 ⋈ f2 through the pair memo: a verified hit
 // returns the cached fragment without recomputing the merge, a miss
-// computes via JoinCounted and caches. Counting matches JoinCounted
-// (every application is a join) plus one memo hit when served from
-// cache.
+// computes the join and caches it. Every application counts as a
+// join, plus one memo hit when served from cache.
 func (st *EvalState) JoinMemo(f1, f2 Fragment) Fragment {
 	if st == nil {
-		return JoinCounted(nil, f1, f2)
+		return Join(f1, f2)
 	}
 	k := pairKey{f1.hash, f2.hash}
 	if k.h1 > k.h2 {
@@ -93,12 +90,11 @@ func (st *EvalState) JoinMemo(f1, f2 Fragment) Fragment {
 		f1, f2 = f2, f1
 	}
 	if e, ok := st.memo[k]; ok && sameFragment(e.a, f1) && sameFragment(e.b, f2) {
-		obs.Process().AddJoins(1)
 		st.counters.AddJoins(1)
 		st.counters.AddJoinMemoHits(1)
 		return e.out
 	}
-	out := JoinCounted(st.counters, f1, f2)
+	out := joinCounted(st.counters, f1, f2)
 	if st.memo == nil {
 		st.memo = make(map[pairKey]memoEntry, 256)
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/obs"
-
 // FixedPointNaive computes F⁺ (Definition 9) by the dynamic-programming
 // expansion F⁺ = F ∪ (F⋈F) ∪ (F⋈F⋈F) ∪ … (Section 3.1.1): it joins the
 // accumulated set with F repeatedly (semi-naive: only newly discovered
@@ -10,12 +8,8 @@ import "repro/internal/obs"
 // with semi-naive evaluation the final, empty iteration re-joins the
 // last frontier against F, which is the checking cost the budgeted
 // FixedPoint avoids.
-func FixedPointNaive(f *Set) *Set { return FixedPointNaiveCounted(nil, f) }
-
-// FixedPointNaiveCounted is FixedPointNaive attributing joins and
-// iterations to c (nil-safe).
-func FixedPointNaiveCounted(c *obs.EvalCounters, f *Set) *Set {
-	return mustSet(FixedPointNaiveBoundedCtx(nil, NewEvalState(c), f, unbounded))
+func FixedPointNaive(f *Set) *Set {
+	return mustSet(FixedPointNaiveBounded(nil, NewEvalState(nil), f, unbounded))
 }
 
 // FixedPoint computes F⁺ using Theorem 1: the fixed point is reached
@@ -25,7 +19,7 @@ func FixedPointNaiveCounted(c *obs.EvalCounters, f *Set) *Set {
 // evaluation state, so the witness pairs ⊖ joins are served to the
 // first self-join iteration from the memo.
 func FixedPoint(f *Set) *Set {
-	return mustSet(FixedPointBoundedCtx(nil, NewEvalState(nil), f, unbounded))
+	return mustSet(FixedPointBounded(nil, NewEvalState(nil), f, unbounded))
 }
 
 // FixedPointIterations returns the iteration budget Theorem 1
@@ -42,7 +36,7 @@ func FixedPointIterations(f *Set) int {
 // fragment discarded early could only have produced discardable
 // super-fragments, so nothing in the final selection is lost.
 func FilteredFixedPoint(f *Set, pred func(Fragment) bool) *Set {
-	return mustSet(FilteredFixedPointBoundedCtx(nil, NewEvalState(nil), f, pred, unbounded))
+	return mustSet(FilteredFixedPointBounded(nil, NewEvalState(nil), f, pred, unbounded))
 }
 
 // Reduce computes the reduced set ⊖(F) (Definition 10): fragments
@@ -62,20 +56,14 @@ func FilteredFixedPoint(f *Set, pred func(Fragment) bool) *Set {
 // Iterative elimination restores that invariant; on inputs without
 // mutual elimination (such as the paper's Figure 4 example) the two
 // readings agree. See DESIGN.md for the reproduction note.
-func Reduce(f *Set) *Set { return reduceState(NewEvalState(nil), f) }
+func Reduce(f *Set) *Set { return ReduceState(NewEvalState(nil), f) }
 
-// ReduceCounted is Reduce attributing the witness-pair joins to c
-// (nil-safe).
-func ReduceCounted(c *obs.EvalCounters, f *Set) *Set {
-	return reduceState(NewEvalState(c), f)
-}
-
-// reduceState is the ⊖ implementation on an evaluation state. The
+// ReduceState is Reduce on an evaluation state: the witness-pair joins
+// count toward the state's counters and populate its pair memo. The
 // elimination sweeps probe the same witness pairs once per candidate
 // per sweep — O(|F|³) join applications over O(|F|²) distinct pairs —
-// which the state's pair memo collapses to one computed join per
-// pair.
-func reduceState(st *EvalState, f *Set) *Set {
+// which the memo collapses to one computed join per pair.
+func ReduceState(st *EvalState, f *Set) *Set {
 	n := f.Len()
 	if n <= 2 {
 		// A set needs at least three elements for any to be eliminated

@@ -264,25 +264,6 @@ func (f Fragment) HasKeyword(term string) bool {
 	return false
 }
 
-// Key returns a canonical string key for the fragment. Two fragments
-// of the same document have the same key iff they are Equal.
-//
-// Deprecated: the hot paths no longer use string keys — Set dedup and
-// the pair-join memo run on the cached Hash with Equal fallback, so
-// no per-probe allocation remains. Key survives for external callers
-// that need a printable canonical identity (it allocates).
-func (f Fragment) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(f.ids) * 4)
-	for _, id := range f.ids {
-		sb.WriteByte(byte(id))
-		sb.WriteByte(byte(id >> 8))
-		sb.WriteByte(byte(id >> 16))
-		sb.WriteByte(byte(id >> 24))
-	}
-	return sb.String()
-}
-
 // String renders the fragment in the paper's ⟨n16,n17,n18⟩ notation.
 func (f Fragment) String() string {
 	var sb strings.Builder

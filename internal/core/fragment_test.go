@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -192,20 +191,6 @@ func TestFragmentString(t *testing.T) {
 	f := MustFragment(d, 16, 17, 18)
 	if got := f.String(); got != "⟨n16,n17,n18⟩" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestFragmentKeyUniqueness(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := buildRandomDoc(t, rng, 300)
-	seen := make(map[string]Fragment)
-	for i := 0; i < 500; i++ {
-		f := randomFragment(t, rng, d, 1+rng.Intn(12))
-		k := f.Key()
-		if prev, ok := seen[k]; ok && !prev.Equal(f) {
-			t.Fatalf("key collision: %v vs %v", prev, f)
-		}
-		seen[k] = f
 	}
 }
 

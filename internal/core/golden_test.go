@@ -1,0 +1,157 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/docgen"
+	"repro/internal/obs"
+)
+
+// kernelGolden is what one evaluator-form operator call must produce:
+// the result-set size and the five counter totals the loops in
+// bounded.go own.
+type kernelGolden struct {
+	size                                                       int
+	joins, memoHits, dedupProbes, filterPrunes, fixedPointIter uint64
+}
+
+// TestKernelCountersGolden pins every evaluator-form operator to the
+// result size and counter totals recorded before the five loops of
+// bounded.go were merged into two, on Figure 1's seed sets and on one
+// seeded docgen document: cold and ⊖-warmed pair memo, self-join and
+// distinct operands, and a predicate that prunes. Joins are the
+// paper's cost currency, so a restructured loop that changes any of
+// these numbers has changed the algorithm, not just its shape.
+func TestKernelCountersGolden(t *testing.T) {
+	fig := docgen.FigureOne()
+	gen, err := docgen.Generate(docgen.Config{
+		Seed: 7, Sections: 3, MeanFanout: 3, Depth: 2,
+		Plant: map[string]int{"alpha": 7, "beta": 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figX := NodeFragments(fig, fig.NodesWithKeyword("xquery"))
+	figO := NodeFragments(fig, fig.NodesWithKeyword("optimization"))
+	genA := NodeFragments(gen, gen.NodesWithKeyword("alpha"))
+	genB := NodeFragments(gen, gen.NodesWithKeyword("beta"))
+	small := func(f Fragment) bool { return f.Size() <= 3 }
+	medium := func(f Fragment) bool { return f.Size() <= 8 }
+	const budget = 1 << 20
+	ctx := context.Background()
+
+	cases := []struct {
+		name string
+		// warm, when set, is reduced on the state first (the Theorem 1
+		// path's ⊖) and the counters zeroed, so the operator runs
+		// against a populated pair memo.
+		warm *Set
+		run  func(st *EvalState) (*Set, error)
+		want kernelGolden
+	}{
+		{name: "fig/pairwise/distinct", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, figX, figO, nil, budget)
+		}, want: kernelGolden{6, 6, 0, 6, 0, 0}},
+		{name: "fig/pairwise/self", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, figO, figO, nil, budget)
+		}, want: kernelGolden{6, 9, 3, 9, 0, 0}},
+		{name: "fig/pairwise/filtered-distinct", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, figX, figO, small, budget)
+		}, want: kernelGolden{4, 6, 0, 4, 2, 0}},
+		{name: "fig/pairwise/filtered-self", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, figO, figO, small, budget)
+		}, want: kernelGolden{4, 9, 3, 5, 4, 0}},
+		{name: "fig/fixedpoint/naive", run: func(st *EvalState) (*Set, error) {
+			return FixedPointNaiveBounded(ctx, st, figO, budget)
+		}, want: kernelGolden{6, 18, 3, 18, 0, 2}},
+		{name: "fig/fixedpoint/theorem1", run: func(st *EvalState) (*Set, error) {
+			return FixedPointBounded(ctx, st, figO, budget)
+		}, want: kernelGolden{6, 10, 4, 9, 0, 1}},
+		{name: "fig/fixedpoint/filtered", run: func(st *EvalState) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, st, figX, small, budget)
+		}, want: kernelGolden{3, 6, 1, 6, 0, 2}},
+		{name: "fig/reduce", run: func(st *EvalState) (*Set, error) {
+			return ReduceState(st, Union(figX, figO)), nil
+		}, want: kernelGolden{3, 11, 5, 0, 0, 0}},
+		{name: "fig/powerset-trace", run: func(st *EvalState) (*Set, error) {
+			rows, err := MultiPowersetJoinTrace(ctx, st, []*Set{figX, figO}, small)
+			out := NewSet()
+			for _, r := range rows {
+				out.Add(r.Result)
+			}
+			return out, err
+		}, want: kernelGolden{7, 16, 7, 11, 0, 0}},
+
+		{name: "gen/pairwise/distinct", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, genA, genB, nil, budget)
+		}, want: kernelGolden{42, 42, 0, 42, 0, 0}},
+		{name: "gen/pairwise/self", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, genA, genA, nil, budget)
+		}, want: kernelGolden{28, 49, 21, 49, 0, 0}},
+		{name: "gen/pairwise/self-warm", warm: genA, run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, genA, genA, nil, budget)
+		}, want: kernelGolden{28, 49, 36, 49, 0, 0}},
+		{name: "gen/pairwise/filtered-distinct", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, genA, genB, small, budget)
+		}, want: kernelGolden{10, 42, 0, 10, 32, 0}},
+		{name: "gen/pairwise/filtered-self", run: func(st *EvalState) (*Set, error) {
+			return PairwiseJoinBounded(ctx, st, genB, genB, small, budget)
+		}, want: kernelGolden{8, 36, 15, 10, 26, 0}},
+		{name: "gen/selfjoin/n=1", run: func(st *EvalState) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, st, genA, 1, budget)
+		}, want: kernelGolden{7, 0, 0, 0, 0, 0}},
+		{name: "gen/selfjoin/n=2", run: func(st *EvalState) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, st, genA, 2, budget)
+		}, want: kernelGolden{28, 49, 21, 49, 0, 1}},
+		{name: "gen/selfjoin/n=3", run: func(st *EvalState) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, st, genA, 3, budget)
+		}, want: kernelGolden{51, 196, 21, 196, 0, 2}},
+		{name: "gen/selfjoin/n=3-warm", warm: genA, run: func(st *EvalState) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, st, genA, 3, budget)
+		}, want: kernelGolden{51, 196, 36, 196, 0, 2}},
+		{name: "gen/fixedpoint/naive", run: func(st *EvalState) (*Set, error) {
+			return FixedPointNaiveBounded(ctx, st, genA, budget)
+		}, want: kernelGolden{73, 511, 21, 511, 0, 6}},
+		{name: "gen/fixedpoint/naive-warm", warm: genA, run: func(st *EvalState) (*Set, error) {
+			return FixedPointNaiveBounded(ctx, st, genA, budget)
+		}, want: kernelGolden{73, 511, 36, 511, 0, 6}},
+		{name: "gen/fixedpoint/theorem1", run: func(st *EvalState) (*Set, error) {
+			return FixedPointBounded(ctx, st, genA, budget)
+		}, want: kernelGolden{73, 626, 143, 504, 0, 5}},
+		{name: "gen/fixedpoint/filtered", run: func(st *EvalState) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, st, genA, medium, budget)
+		}, want: kernelGolden{44, 308, 21, 246, 62, 4}},
+		{name: "gen/fixedpoint/filtered-warm", warm: genB, run: func(st *EvalState) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, st, genB, medium, budget)
+		}, want: kernelGolden{33, 198, 30, 158, 40, 4}},
+		{name: "gen/fixedpoint/filtered-input-pruned", run: func(st *EvalState) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, st, FixedPointNaive(genB), small, budget)
+		}, want: kernelGolden{8, 64, 28, 20, 84, 1}},
+		{name: "gen/reduce", run: func(st *EvalState) (*Set, error) {
+			return ReduceState(st, genA), nil
+		}, want: kernelGolden{6, 122, 107, 0, 0, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c obs.EvalCounters
+			st := NewEvalState(&c)
+			if tc.warm != nil {
+				ReduceState(st, tc.warm)
+				if st.MemoLen() == 0 {
+					t.Fatal("⊖ left the pair memo empty")
+				}
+				c.Reset()
+			}
+			out, err := tc.run(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := c.Snapshot()
+			got := kernelGolden{out.Len(), s.Joins, s.JoinMemoHits, s.DedupProbes, s.FilterPrunes, s.FixedPointIterations}
+			if got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}

@@ -12,51 +12,30 @@ import (
 // spilling to the heap (one extra allocation) only beyond it. Keeping
 // the buffer on the goroutine stack beat both a sync.Pool and an
 // EvalState-threaded scratch in profiles — the join is short enough
-// that pool synchronization costs more than it saves, and it keeps
-// the parallel striped join trivially safe.
+// that pool synchronization costs more than it saves.
 const joinPathBufLen = 48
 
-// JoinCount returns the number of fragment joins performed
-// process-wide since the last ResetJoinCount.
-//
-// Deprecated: this is a shim over the obs.Process aggregate, kept for
-// coarse process statistics only. Per-evaluation join counts come
-// from the *obs.EvalCounters threaded through the counted operation
-// variants (JoinCounted and friends) — never from deltas of this
-// aggregate, which concurrent evaluations advance together.
-func JoinCount() uint64 { return obs.Process().Joins() }
-
-// ResetJoinCount zeroes the process-wide join aggregate.
-//
-// Deprecated: see JoinCount. Resetting a process-wide aggregate under
-// concurrent evaluations loses counts; prefer per-evaluation
-// counters.
-func ResetJoinCount() { obs.Process().Reset() }
-
-// Join computes the fragment join f1 ⋈ f2 (Definition 4). It counts
-// the join only in the process aggregate; use JoinCounted to
-// attribute the work to an evaluation.
-func Join(f1, f2 Fragment) Fragment { return JoinCounted(nil, f1, f2) }
-
-// JoinCounted computes the fragment join f1 ⋈ f2 (Definition 4),
-// attributing the work to c (nil-safe): the minimal fragment of the
-// shared document that contains both f1 and f2. In a tree the minimal
-// connected subgraph containing a node set is the union of the set
-// with the paths from each node to the set's lowest common ancestor;
-// since f1 and f2 are themselves connected, it suffices to connect
-// their roots to the LCA of the two roots.
+// Join computes the fragment join f1 ⋈ f2 (Definition 4): the minimal
+// fragment of the shared document that contains both f1 and f2. In a
+// tree the minimal connected subgraph containing a node set is the
+// union of the set with the paths from each node to the set's lowest
+// common ancestor; since f1 and f2 are themselves connected, it
+// suffices to connect their roots to the LCA of the two roots.
 //
 // The operation is idempotent, commutative, associative and absorbing
 // (Section 2.2); those properties are exercised by the package's
 // property tests.
-func JoinCounted(c *obs.EvalCounters, f1, f2 Fragment) Fragment {
+func Join(f1, f2 Fragment) Fragment { return joinCounted(nil, f1, f2) }
+
+// joinCounted is Join attributing the work to the evaluation's
+// counters c (nil-safe).
+func joinCounted(c *obs.EvalCounters, f1, f2 Fragment) Fragment {
 	if f1.doc != f2.doc {
 		panic("core: Join across documents")
 	}
 	if f1.doc == nil {
 		panic("core: Join of zero Fragment")
 	}
-	obs.Process().AddJoins(1)
 	c.AddJoins(1)
 	// Absorption fast paths: f1 ⋈ f2 = f1 when f2 ⊆ f1 (and vice
 	// versa). These also cover idempotency.
@@ -126,16 +105,13 @@ func JoinCounted(c *obs.EvalCounters, f1, f2 Fragment) Fragment {
 
 // JoinAll folds Join over all fragments: ⋈{f1,…,fn} = f1 ⋈ … ⋈ fn
 // (the n-ary form used by Definition 6). It panics on an empty slice.
-func JoinAll(fs []Fragment) Fragment { return JoinAllCounted(nil, fs) }
-
-// JoinAllCounted is JoinAll attributing the joins to c (nil-safe).
-func JoinAllCounted(c *obs.EvalCounters, fs []Fragment) Fragment {
+func JoinAll(fs []Fragment) Fragment {
 	if len(fs) == 0 {
 		panic("core: JoinAll of empty slice")
 	}
 	acc := fs[0]
 	for _, f := range fs[1:] {
-		acc = JoinCounted(c, acc, f)
+		acc = Join(acc, f)
 	}
 	return acc
 }

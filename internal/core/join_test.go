@@ -226,17 +226,3 @@ func TestJoinPanicsAcrossDocuments(t *testing.T) {
 	}()
 	Join(MustFragment(d1, 3), MustFragment(d2, 3))
 }
-
-func TestJoinCounter(t *testing.T) {
-	d := docgen.FigureOne()
-	ResetJoinCount()
-	Join(MustFragment(d, 17), MustFragment(d, 18))
-	Join(MustFragment(d, 16), MustFragment(d, 17))
-	if got := JoinCount(); got != 2 {
-		t.Fatalf("JoinCount = %d, want 2", got)
-	}
-	ResetJoinCount()
-	if got := JoinCount(); got != 0 {
-		t.Fatalf("JoinCount after reset = %d, want 0", got)
-	}
-}

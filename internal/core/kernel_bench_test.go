@@ -140,7 +140,7 @@ func BenchmarkPairwiseJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := PairwiseJoinBoundedCounted(&c, f1, f2, 1<<30); err != nil {
+				if _, err := PairwiseJoinBounded(bg, NewEvalState(&c), f1, f2, nil, 1<<30); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -161,7 +161,7 @@ func BenchmarkFixedPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FixedPointBoundedCounted(&c, f, 1<<30); err != nil {
+		if _, err := FixedPointBounded(bg, NewEvalState(&c), f, 1<<30); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,23 +169,20 @@ func BenchmarkFixedPoint(b *testing.B) {
 	b.ReportMetric(float64(c.Joins())/float64(b.N), "joins/op")
 }
 
-// BenchmarkFilteredFixedPointParallel measures the push-down striped
-// join on a frontier big enough for striping to engage.
-func BenchmarkFilteredFixedPointParallel(b *testing.B) {
+// BenchmarkFilteredFixedPoint measures the push-down closure — the
+// loop a join-heavy search spends its time in — on a 64-fragment seed
+// set.
+func BenchmarkFilteredFixedPoint(b *testing.B) {
 	d := benchDoc(b)
 	pred := func(f Fragment) bool { return f.Size() <= 8 }
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(8))
-			f := randomSet(b, rng, d, 64, 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := FilteredFixedPointParallel(f, pred, workers, 1<<30); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(8))
+	f := randomSet(b, rng, d, 64, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), f, pred, 1<<30); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

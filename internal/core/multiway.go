@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // MultiPowersetJoin generalizes the powerset fragment join to m ≥ 1
@@ -14,7 +12,7 @@ import (
 // associative and commutative. Exponential and bounded like
 // PowersetJoin; use MultiPowersetJoinFixedPoint for real inputs.
 func MultiPowersetJoin(sets []*Set) (*Set, error) {
-	rows, err := MultiPowersetJoinTrace(sets, nil)
+	rows, err := MultiPowersetJoinTrace(nil, NewEvalState(nil), sets, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -43,25 +41,15 @@ func MultiPowersetJoinFixedPoint(sets []*Set) *Set {
 
 // MultiPowersetJoinTrace generalizes PowersetJoinTrace to m operand
 // sets: one row per distinct candidate union intersecting every
-// operand, ordered by candidate size then lexicographically.
-func MultiPowersetJoinTrace(sets []*Set, pred func(Fragment) bool) ([]Candidate, error) {
-	return MultiPowersetJoinTraceCounted(nil, sets, pred)
-}
-
-// MultiPowersetJoinTraceCounted is MultiPowersetJoinTrace attributing
-// the joins and one powerset expansion per candidate row to c
-// (nil-safe).
-func MultiPowersetJoinTraceCounted(c *obs.EvalCounters, sets []*Set, pred func(Fragment) bool) ([]Candidate, error) {
-	return MultiPowersetJoinTraceCtx(nil, NewEvalState(c), sets, pred)
-}
-
-// MultiPowersetJoinTraceCtx is MultiPowersetJoinTraceCounted with
-// cooperative cancellation: the candidate enumeration — the literal
-// exponential loop of Definition 6 — polls ctx once per row and once
-// per amortized batch of member joins. Candidate subsets share fold
-// prefixes (Gosper enumeration revisits the same low-index members),
-// so the member joins run through the evaluation state's pair memo.
-func MultiPowersetJoinTraceCtx(ctx context.Context, st *EvalState, sets []*Set, pred func(Fragment) bool) ([]Candidate, error) {
+// operand, ordered by candidate size then lexicographically, flagging
+// duplicates and — if pred is non-nil — filtered rows. The joins and
+// one powerset expansion per candidate row count toward st. The
+// candidate enumeration — the literal exponential loop of Definition 6
+// — polls ctx once per row and once per amortized batch of member
+// joins. Candidate subsets share fold prefixes (Gosper enumeration
+// revisits the same low-index members), so the member joins run
+// through the evaluation state's pair memo.
+func MultiPowersetJoinTrace(ctx context.Context, st *EvalState, sets []*Set, pred func(Fragment) bool) ([]Candidate, error) {
 	c := st.Counters()
 	if len(sets) == 0 {
 		return nil, nil

@@ -1,10 +1,8 @@
 package core
 
-import "repro/internal/obs"
-
-// unbounded is the fragment budget used by the budget-free wrappers:
-// effectively infinite, so the shared bounded loops serve both entry
-// points without duplicating the join kernel.
+// unbounded is the fragment budget of the paper-form operators:
+// effectively infinite, so the shared bounded loops serve both forms
+// without duplicating the join kernel.
 const unbounded = int(^uint(0) >> 1)
 
 // mustSet unwraps a bounded-loop result that cannot have failed (nil
@@ -22,7 +20,7 @@ func mustSet(s *Set, err error) *Set {
 // NOT idempotent: joining a set with itself can create fragments not in
 // the set (Section 2.2).
 func PairwiseJoin(f1, f2 *Set) *Set {
-	return mustSet(PairwiseJoinBoundedCtx(nil, NewEvalState(nil), f1, f2, unbounded))
+	return mustSet(PairwiseJoinBounded(nil, NewEvalState(nil), f1, f2, nil, unbounded))
 }
 
 // PairwiseJoinFiltered is PairwiseJoin with a selection applied to
@@ -31,7 +29,7 @@ func PairwiseJoin(f1, f2 *Set) *Set {
 // Theorem 3: σ_Pa(F1 ⋈ F2) = σ_Pa(σ_Pa(F1) ⋈ σ_Pa(F2)); callers filter
 // the inputs themselves and pass the same predicate here.
 func PairwiseJoinFiltered(f1, f2 *Set, pred func(Fragment) bool) *Set {
-	return mustSet(PairwiseJoinFilteredBoundedCtx(nil, NewEvalState(nil), f1, f2, pred, unbounded))
+	return mustSet(PairwiseJoinBounded(nil, NewEvalState(nil), f1, f2, pred, unbounded))
 }
 
 // SelfJoinTimes computes ⋈_n(F): the pairwise fragment join applied to
@@ -44,10 +42,6 @@ func PairwiseJoinFiltered(f1, f2 *Set, pred func(Fragment) bool) *Set {
 // discovered in the previous iteration against F, since older members
 // have already met every element of F. This cuts the join count from
 // O(n·|F⁺|·|F|) to O(|F⁺|·|F|) without changing the result.
-func SelfJoinTimes(f *Set, n int) *Set { return SelfJoinTimesCounted(nil, f, n) }
-
-// SelfJoinTimesCounted is SelfJoinTimes attributing joins and
-// iterations to c (nil-safe).
-func SelfJoinTimesCounted(c *obs.EvalCounters, f *Set, n int) *Set {
-	return mustSet(SelfJoinTimesBoundedCtx(nil, NewEvalState(c), f, n, unbounded))
+func SelfJoinTimes(f *Set, n int) *Set {
+	return mustSet(SelfJoinTimesBounded(nil, NewEvalState(nil), f, n, unbounded))
 }

@@ -204,11 +204,15 @@ func (s *Set) Select(pred func(Fragment) bool) *Set {
 func (s *Set) Sorted() []Fragment {
 	out := make([]Fragment, len(s.frags))
 	copy(out, s.frags)
-	sort.Slice(out, func(i, j int) bool { return lessFragments(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return LessFragments(out[i], out[j]) })
 	return out
 }
 
-func lessFragments(a, b Fragment) bool {
+// LessFragments is the canonical order of two fragments of one
+// document: smaller first, then by node IDs lexicographically. It is a
+// strict total order (equal only for Equal fragments), so sorting by it
+// — or breaking score ties with it — is deterministic.
+func LessFragments(a, b Fragment) bool {
 	if len(a.ids) != len(b.ids) {
 		return len(a.ids) < len(b.ids)
 	}

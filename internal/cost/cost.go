@@ -8,6 +8,8 @@
 package cost
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/xmltree"
 )
@@ -207,6 +209,29 @@ func (s Strategy) String() string {
 		return "push-down"
 	default:
 		return "unknown"
+	}
+}
+
+// ParseStrategy maps a user-facing strategy name — the spelling of the
+// CLI -strategy flag and the HTTP strategy parameter: auto,
+// brute-force, naive, set-reduction or push-down, with "" meaning auto
+// — to a Strategy. For auto it reports auto = true and s = PushDown,
+// the strategy a static plan display assumes when none is forced
+// (evaluation then chooses per query; see Chooser).
+func ParseStrategy(name string) (s Strategy, auto bool, err error) {
+	switch name {
+	case "", "auto":
+		return PushDown, true, nil
+	case "brute-force":
+		return BruteForce, false, nil
+	case "naive":
+		return Naive, false, nil
+	case "set-reduction":
+		return SetReduction, false, nil
+	case "push-down":
+		return PushDown, false, nil
+	default:
+		return 0, false, fmt.Errorf("unknown strategy %q (want auto, brute-force, naive, set-reduction or push-down)", name)
 	}
 }
 

@@ -2,6 +2,8 @@ package cost
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -89,6 +91,36 @@ func TestStrategyString(t *testing.T) {
 	for s, want := range names {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", s, got, want)
+		}
+	}
+}
+
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		want    Strategy
+		auto    bool
+		wantErr bool
+	}{
+		{name: "", want: PushDown, auto: true},
+		{name: "auto", want: PushDown, auto: true},
+		{name: "brute-force", want: BruteForce},
+		{name: "naive", want: Naive},
+		{name: "set-reduction", want: SetReduction},
+		{name: "push-down", want: PushDown},
+		{name: "warp", wantErr: true},
+		{name: "Auto", wantErr: true},
+		{name: "naive-fixed-point", wantErr: true}, // Strategy.String's spelling is not an input
+	} {
+		got, auto, err := ParseStrategy(tc.name)
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.name)) {
+				t.Errorf("ParseStrategy(%q) error = %v, want one naming the input", tc.name, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want || auto != tc.auto {
+			t.Errorf("ParseStrategy(%q) = %v, %v, %v; want %v, %v, nil", tc.name, got, auto, err, tc.want, tc.auto)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -27,12 +26,8 @@ import (
 // evaluation counts its operator work privately (query.Stats.Ops), so
 // concurrent queries never perturb each other's statistics.
 type Engine struct {
-	doc *xmltree.Document
-	idx *index.Index
-	// cache holds the result cache (nil unless EnableCache was
-	// called). Atomic because EnableCache may race with in-flight
-	// queries when a collection swaps a document under load.
-	cache   atomic.Pointer[resultCache]
+	doc     *xmltree.Document
+	idx     *index.Index
 	metrics *obs.Metrics // nil unless created via NewWithMetrics
 }
 
@@ -88,69 +83,15 @@ func (e *Engine) Document() *xmltree.Document { return e.doc }
 // Index returns the engine's inverted index.
 func (e *Engine) Index() *index.Index { return e.idx }
 
-// Query evaluates a keyword query with a filter specification (see
-// internal/filter.Parse) under the given evaluation options. It is
-// QueryContext with a background context, kept as a thin wrapper for
-// callers with no deadline to honor.
-func (e *Engine) Query(keywords, filterSpec string, opts query.Options) (*Answer, error) {
-	return e.QueryContext(context.Background(), keywords, filterSpec, opts)
-}
-
-// QueryContext parses and evaluates a keyword/filter query under ctx:
-// cancellation or deadline expiry stops the evaluation cooperatively
-// inside the join loops (see query.EvaluateContext) and returns a
-// *query.Canceled error carrying the partial statistics.
-func (e *Engine) QueryContext(ctx context.Context, keywords, filterSpec string, opts query.Options) (*Answer, error) {
-	q, err := query.Parse(keywords, filterSpec)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx, q, opts)
-}
-
-// Run evaluates an already-built query. It is RunContext with a
-// background context, kept as a thin wrapper for callers with no
-// deadline to honor.
-func (e *Engine) Run(q query.Query, opts query.Options) (*Answer, error) {
-	return e.RunContext(context.Background(), q, opts)
-}
-
-// RunContext evaluates an already-built query under ctx, consulting
-// the result cache when one is enabled (see EnableCache). Tracing
-// requests bypass the cache: a cached Answer carries the trace of its
-// original evaluation (possibly none), and an explain caller wants the
-// spans of a real evaluation. A cache hit is returned even under an
-// expired context (it costs nothing). A stopped evaluation records its
+// RunContext evaluates an already-built query under ctx: cancellation
+// or deadline expiry stops the evaluation cooperatively inside the join
+// loops (see query.EvaluateContext) and returns a *query.Canceled error
+// carrying the partial statistics. A stopped evaluation records its
 // partial operator counts into the metrics registry under a
-// query-timeout counter, so shed work remains attributable.
+// query-timeout counter, so shed work remains attributable. Parse
+// keyword/filter strings with query.Parse.
 func (e *Engine) RunContext(ctx context.Context, q query.Query, opts query.Options) (*Answer, error) {
 	start := time.Now()
-	if obs.SpanFromContext(ctx) != nil {
-		// A sampled request's trace wants the spans of a real
-		// evaluation, so it bypasses the cache like an explicit
-		// Options.Trace (query.EvaluateContext roots its spans under
-		// the ctx span).
-		opts.Trace = true
-	}
-	var key string
-	cache := e.cache.Load() // one load: hit-check and put use the same cache
-	useCache := cache != nil && !opts.Trace
-	if useCache {
-		key = cacheKey(q, opts)
-		if ans, ok := cache.get(key); ok {
-			e.metrics.Counter(obs.MCacheHits).Add(1)
-			if opts.Counters != nil {
-				opts.Counters.AddCacheHits(1)
-			}
-			return ans, nil
-		}
-	}
-	if opts.Counters == nil {
-		opts.Counters = new(obs.EvalCounters)
-	}
-	if useCache {
-		opts.Counters.AddCacheMisses(1)
-	}
 	res, err := query.EvaluateContext(ctx, e.idx, q, opts)
 	if err != nil {
 		e.metrics.Counter(obs.MQueryErrors).Add(1)
@@ -163,11 +104,7 @@ func (e *Engine) RunContext(ctx context.Context, q query.Query, opts query.Optio
 	}
 	e.metrics.RecordEval(res.Stats.Ops, time.Since(start), res.Stats.Answers)
 	e.metrics.RecordStages(res.Stats.Stages)
-	ans := &Answer{doc: e.doc, Query: q, Result: res}
-	if useCache {
-		cache.put(key, ans)
-	}
-	return ans, nil
+	return &Answer{doc: e.doc, Query: q, Result: res}, nil
 }
 
 // SLCA returns the conventional smallest-subtree baseline answer for

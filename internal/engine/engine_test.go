@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,6 +18,15 @@ func figure1Engine(t testing.TB) *Engine {
 	return New(docgen.FigureOne())
 }
 
+// runQuery parses a keyword/filter query and evaluates it on e.
+func runQuery(e *Engine, keywords, filterSpec string, opts query.Options) (*Answer, error) {
+	q, err := query.Parse(keywords, filterSpec)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunContext(context.Background(), q, opts)
+}
+
 func frag(t testing.TB, d *xmltree.Document, ids ...xmltree.NodeID) core.Fragment {
 	t.Helper()
 	f, err := core.NewFragment(d, ids)
@@ -31,7 +41,7 @@ func frag(t testing.TB, d *xmltree.Document, ids ...xmltree.NodeID) core.Fragmen
 // the irrelevant 9-node fragment is excluded.
 func TestFigure8EndToEnd(t *testing.T) {
 	e := figure1Engine(t)
-	ans, err := e.Query("XQuery optimization", "size<=3", query.Options{Auto: true})
+	ans, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +61,10 @@ func TestFigure8EndToEnd(t *testing.T) {
 
 func TestEngineQueryBadInputs(t *testing.T) {
 	e := figure1Engine(t)
-	if _, err := e.Query("", "size<=3", query.Options{}); err == nil {
+	if _, err := runQuery(e, "", "size<=3", query.Options{}); err == nil {
 		t.Fatal("empty keywords must error")
 	}
-	if _, err := e.Query("x", "bogus", query.Options{}); err == nil {
+	if _, err := runQuery(e, "x", "bogus", query.Options{}); err == nil {
 		t.Fatal("bad filter spec must error")
 	}
 }
@@ -64,7 +74,7 @@ func TestLoadString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("apple banana", "size<=3", query.Options{Strategy: 0})
+	ans, err := runQuery(e, "apple banana", "size<=3", query.Options{Strategy: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func TestSLCABaselineOnEngine(t *testing.T) {
 
 func TestGroups(t *testing.T) {
 	e := figure1Engine(t)
-	ans, err := e.Query("XQuery optimization", "size<=3", query.Options{Auto: true})
+	ans, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func TestGroupsDisjointTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("foo bar", "size<=1", query.Options{Auto: true})
+	ans, err := runQuery(e, "foo bar", "size<=1", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func TestGroupsDisjointTargets(t *testing.T) {
 
 func TestRenderAndWriteFragment(t *testing.T) {
 	e := figure1Engine(t)
-	ans, err := e.Query("XQuery optimization", "size<=3", query.Options{Auto: true})
+	ans, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestRunPrebuiltQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Run(q, query.Options{Auto: true})
+	ans, err := e.RunContext(context.Background(), q, query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +209,7 @@ func TestRunPrebuiltQuery(t *testing.T) {
 
 func TestTargetsHidesOverlaps(t *testing.T) {
 	e := figure1Engine(t)
-	ans, err := e.Query("XQuery optimization", "size<=3", query.Options{Auto: true})
+	ans, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestLoadTestdataFile(t *testing.T) {
 	if e.Document().Len() < 15 {
 		t.Fatalf("testdata article too small: %d nodes", e.Document().Len())
 	}
-	ans, err := e.Query("fragment filters", "size<=8,height<=2", query.Options{Auto: true})
+	ans, err := runQuery(e, "fragment filters", "size<=8,height<=2", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +252,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ans, err := e.Query("XQuery optimization", "size<=3", query.Options{Auto: true})
+			ans, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Auto: true})
 			if err == nil && ans.Len() != 4 {
 				err = fmt.Errorf("answers = %d", ans.Len())
 			}
@@ -259,7 +269,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 
 func TestWitnesses(t *testing.T) {
 	e := figure1Engine(t)
-	ans, err := e.Query("XQuery optimization", "size<=3", query.Options{Auto: true})
+	ans, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestWitnesses(t *testing.T) {
 
 func TestWitnessesDisjunctionAndPhrase(t *testing.T) {
 	e := figure1Engine(t)
-	ans, err := e.Query(`xquery "rewriting rules"|optimization`, "size<=3", query.Options{Auto: true})
+	ans, err := runQuery(e, `xquery "rewriting rules"|optimization`, "size<=3", query.Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}

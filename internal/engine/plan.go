@@ -36,15 +36,14 @@ func (o PlanOutcome) String() string {
 }
 
 // PlanCache is a per-shard LRU of compiled physical plans keyed on
-// query shape (PlanKey, the hashed form of the same query fingerprint
-// CacheKey uses for results). Unlike the result cache it is NOT
-// invalidated by mutations: a plan steers only the Naive/SetReduction
-// choice, which never changes answer sets, so a slightly stale plan is
-// merely suboptimal. Each plan carries the statistics epoch it was
-// compiled at; when the shard's epoch drifts past the threshold the
-// entry is recompiled in place (PlanReplan) instead of the whole cache
-// being dropped. The hit path performs zero allocations — a uint64 map
-// probe, an atomic epoch load, and an LRU pointer move.
+// query shape (PlanKey). It is NOT invalidated by mutations: a plan
+// steers only the Naive/SetReduction choice, which never changes answer
+// sets, so a slightly stale plan is merely suboptimal. Each plan carries
+// the statistics epoch it was compiled at; when the shard's epoch drifts
+// past the threshold the entry is recompiled in place (PlanReplan)
+// instead of the whole cache being dropped. The hit path performs zero
+// allocations — a uint64 map probe, an atomic epoch load, and an LRU
+// pointer move.
 type PlanCache struct {
 	mu sync.Mutex
 	// DriftLimit is the epoch distance beyond which a cached plan is
@@ -121,10 +120,10 @@ func (c *PlanCache) Len() int {
 
 // PlanKey fingerprints a query's shape — groups and filter clauses,
 // the fields that determine a plan — as a 64-bit FNV-1a hash computed
-// without allocating (CacheKey's string form would allocate on every
-// query). A hash collision maps two shapes to one cached plan, which
-// is benign: plans only steer the Naive/SetReduction choice, so the
-// worst case is a suboptimal strategy, never a wrong answer.
+// without allocating. A hash collision maps two shapes to one cached
+// plan, which is benign: plans only steer the Naive/SetReduction
+// choice, so the worst case is a suboptimal strategy, never a wrong
+// answer.
 func PlanKey(q query.Query) uint64 {
 	const offset64 = 14695981039346656037
 	h := uint64(offset64)

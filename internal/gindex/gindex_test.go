@@ -1,6 +1,7 @@
 package gindex
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -309,7 +310,7 @@ func TestCandidatesSound(t *testing.T) {
 			in[n] = true
 		}
 		for _, d := range docs {
-			ans, err := engine.New(d).Run(q, query.Options{Strategy: cost.PushDown})
+			ans, err := engine.New(d).RunContext(context.Background(), q, query.Options{Strategy: cost.PushDown})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", qc.kw, d.Name(), err)
 			}

@@ -75,7 +75,11 @@ func Middleware(next http.Handler, logger *slog.Logger, m *obs.Metrics) http.Han
 					)
 				}
 				if rec.status == 0 {
-					writeError(rec, http.StatusInternalServerError, fmt.Errorf("internal server error (request %s)", id))
+					// A panic may predate routing, so this body is flat,
+					// not the handlers' error envelope.
+					writeJSON(rec, http.StatusInternalServerError, map[string]string{
+						"error": fmt.Sprintf("internal server error (request %s)", id),
+					})
 				}
 			}
 			status := rec.status

@@ -114,13 +114,13 @@ func (s *Server) role() Role {
 // rejectReplicaWrite answers mutation attempts on a replica: 403 plus
 // the primary's URL, in the header and the error message, so clients
 // can re-issue the write without out-of-band configuration.
-func (s *Server) rejectReplicaWrite(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) rejectReplicaWrite(w http.ResponseWriter) bool {
 	if s.role() != RoleReplica {
 		return false
 	}
 	primary := s.cfg.Replication.PrimaryURL
 	w.Header().Set(PrimaryURLHeader, primary)
-	s.error(w, r, http.StatusForbidden, "read_only_replica",
+	s.error(w, http.StatusForbidden, "read_only_replica",
 		fmt.Errorf("this node is a read replica; send writes to the primary at %s", primary))
 	return true
 }
@@ -157,7 +157,7 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 	case RolePrimary:
 		pos, err := s.st.WALPositions()
 		if err != nil {
-			s.error(w, r, http.StatusServiceUnavailable, "not_ready", err)
+			s.error(w, http.StatusServiceUnavailable, "not_ready", err)
 			return
 		}
 		body["positions"] = pos

@@ -1,10 +1,6 @@
 package httpapi
 
-import (
-	"context"
-	"net/http"
-	"strings"
-)
+import "net/http"
 
 // routeParam documents one request parameter in the route manifest.
 type routeParam struct {
@@ -27,13 +23,10 @@ type routeDef struct {
 
 // ManifestRoute is one row of the GET /api/v1 route manifest.
 type ManifestRoute struct {
-	Method     string       `json:"method"`
-	Path       string       `json:"path"`
-	Doc        string       `json:"doc,omitempty"`
-	Params     []routeParam `json:"params,omitempty"`
-	Deprecated bool         `json:"deprecated"`
-	// Successor names the route to migrate to (deprecated rows only).
-	Successor string `json:"successor,omitempty"`
+	Method string       `json:"method"`
+	Path   string       `json:"path"`
+	Doc    string       `json:"doc,omitempty"`
+	Params []routeParam `json:"params,omitempty"`
 }
 
 // qp / pp / bp build query-, path- and body-parameter docs tersely.
@@ -48,36 +41,21 @@ func (s *Server) addRoute(method, path, doc string, params []routeParam, h http.
 }
 
 // mountRoutes registers every table entry under the versioned surface
-// (/api/v1/...) and — only when Config.LegacyAPI opts in — under the
-// retired un-versioned alias (/api/...), which then responds with an
-// RFC 9745 Deprecation header plus a Link to its successor-version so
-// clients can migrate mechanically. The manifest endpoint GET /api/v1
-// is mounted alongside, generated from the same table.
+// (/api/v1/...). The manifest endpoint GET /api/v1 is mounted
+// alongside, generated from the same table.
 func (s *Server) mountRoutes() {
 	for _, rd := range s.routes {
-		h := rd.handler
-		s.mux.HandleFunc(rd.Method+" /api/v1"+rd.Path, func(w http.ResponseWriter, r *http.Request) {
-			h(w, r.WithContext(context.WithValue(r.Context(), ctxKeyV1, true)))
-		})
-		if s.cfg.LegacyAPI {
-			s.mux.HandleFunc(rd.Method+" /api"+rd.Path, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", "true")
-				w.Header().Set("Link", "</api/v1"+strings.TrimPrefix(r.URL.Path, "/api")+`>; rel="successor-version"`)
-				h(w, r)
-			})
-		}
+		s.mux.HandleFunc(rd.Method+" /api/v1"+rd.Path, rd.handler)
 	}
 	s.mux.HandleFunc("GET /api/v1", s.handleManifest)
 	s.mux.HandleFunc("GET /api/v1/{$}", s.handleManifest)
 }
 
 // handleManifest serves GET /api/v1: the machine-readable description
-// of the HTTP surface — method, path, parameters and deprecation
-// status per route — so clients discover the API instead of guessing
-// it. Legacy aliases appear only while -legacy-api keeps them mounted,
-// each marked deprecated with its successor route.
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	routes := make([]ManifestRoute, 0, 2*len(s.routes))
+// of the HTTP surface — method, path and parameters per route — so
+// clients discover the API instead of guessing it.
+func (s *Server) handleManifest(w http.ResponseWriter, _ *http.Request) {
+	routes := make([]ManifestRoute, 0, len(s.routes))
 	for _, rd := range s.routes {
 		routes = append(routes, ManifestRoute{
 			Method: rd.Method,
@@ -86,22 +64,9 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 			Params: rd.Params,
 		})
 	}
-	if s.cfg.LegacyAPI {
-		for _, rd := range s.routes {
-			routes = append(routes, ManifestRoute{
-				Method:     rd.Method,
-				Path:       "/api" + rd.Path,
-				Doc:        rd.Doc,
-				Params:     rd.Params,
-				Deprecated: true,
-				Successor:  "/api/v1" + rd.Path,
-			})
-		}
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"service":    "xfrag",
-		"version":    "v1",
-		"legacy_api": s.cfg.LegacyAPI,
-		"routes":     routes,
+		"service": "xfrag",
+		"version": "v1",
+		"routes":  routes,
 	})
 }

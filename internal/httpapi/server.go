@@ -7,8 +7,7 @@
 // against: uniform error envelope {"error":{"code","message",
 // "request_id"}}, limit/offset pagination on /api/v1/search, and
 // per-request evaluation deadlines (?timeout=, capped by the server).
-// The original un-versioned /api/* routes remain as aliases that set a
-// Deprecation header. Query endpoints sit behind an admission
+// Query endpoints sit behind an admission
 // controller (bounded concurrency plus a short wait queue) that sheds
 // overload with 503 + Retry-After instead of queueing forever.
 package httpapi
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/collection"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -86,9 +84,6 @@ type Config struct {
 	// process share one flight recorder between the HTTP layer and the
 	// replication follower so /api/v1/debug/* shows both.
 	Recorder *obs.Recorder
-	// LegacyAPI re-mounts the retired un-versioned /api/* aliases
-	// (with Deprecation headers). Default off: only /api/v1 serves.
-	LegacyAPI bool
 	// MaxSubscriptions caps concurrently registered standing queries
 	// (watch subscriptions). 0 means 64; negative disables the watch
 	// API entirely.
@@ -179,18 +174,6 @@ func NewStoreWithConfig(st *store.Store, cfg Config) *Server {
 	s := &Server{st: st, cfg: cfg}
 	s.init(st.Metrics())
 	return s
-}
-
-// ctxKey marks request-context values set by the router wrappers.
-type ctxKey int
-
-// ctxKeyV1 flags a request that arrived via the /api/v1 surface, so
-// shared handlers emit the v1 error envelope.
-const ctxKeyV1 ctxKey = iota
-
-func isV1(r *http.Request) bool {
-	v, _ := r.Context().Value(ctxKeyV1).(bool)
-	return v
 }
 
 func (s *Server) init(m *obs.Metrics) {
@@ -430,22 +413,22 @@ type AddDocRequest struct {
 }
 
 func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReplicaWrite(w, r) {
+	if s.rejectReplicaWrite(w) {
 		return
 	}
 	var req AddDocRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err := dec.Decode(&req); err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("bad JSON body: %w", err))
+		s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if req.Name == "" || req.XML == "" {
-		s.error(w, r, http.StatusBadRequest, "bad_request", errors.New("need name and xml"))
+		s.error(w, http.StatusBadRequest, "bad_request", errors.New("need name and xml"))
 		return
 	}
 	if r.URL.Query().Get("async") == "1" {
 		if s.st == nil {
-			s.error(w, r, http.StatusBadRequest, "bad_request", errors.New("async ingest requires a store-backed server (run with -data-dir)"))
+			s.error(w, http.StatusBadRequest, "bad_request", errors.New("async ingest requires a store-backed server (run with -data-dir)"))
 			return
 		}
 		// A traced submit hands its trace ID to the ingest pipeline:
@@ -460,14 +443,14 @@ func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, store.ErrQueueFull):
 			// Backpressure, not failure: the client should retry later.
 			w.Header().Set("Retry-After", "1")
-			s.error(w, r, http.StatusTooManyRequests, "queue_full", err)
+			s.error(w, http.StatusTooManyRequests, "queue_full", err)
 			return
 		case errors.Is(err, store.ErrReplaying):
 			w.Header().Set("Retry-After", "1")
-			s.error(w, r, http.StatusServiceUnavailable, "not_ready", err)
+			s.error(w, http.StatusServiceUnavailable, "not_ready", err)
 			return
 		case err != nil:
-			s.error(w, r, http.StatusBadRequest, "bad_request", err)
+			s.error(w, http.StatusBadRequest, "bad_request", err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, map[string]any{"job": id, "document": req.Name})
@@ -482,10 +465,10 @@ func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, store.ErrReplaying):
 		w.Header().Set("Retry-After", "1")
-		s.error(w, r, http.StatusServiceUnavailable, "not_ready", err)
+		s.error(w, http.StatusServiceUnavailable, "not_ready", err)
 		return
 	case err != nil:
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"added": req.Name})
@@ -495,20 +478,20 @@ func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 // ingest job.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if s.st == nil {
-		s.error(w, r, http.StatusNotFound, "not_found", errors.New("no async ingest on this server"))
+		s.error(w, http.StatusNotFound, "not_found", errors.New("no async ingest on this server"))
 		return
 	}
 	id := r.PathValue("id")
 	job, ok := s.st.Job(id)
 	if !ok {
-		s.error(w, r, http.StatusNotFound, "not_found", fmt.Errorf("no job %q", id))
+		s.error(w, http.StatusNotFound, "not_found", fmt.Errorf("no job %q", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, job)
 }
 
 func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
-	if s.rejectReplicaWrite(w, r) {
+	if s.rejectReplicaWrite(w) {
 		return
 	}
 	name := r.PathValue("name")
@@ -519,7 +502,7 @@ func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
 		removed = s.coll.Remove(name)
 	}
 	if !removed {
-		s.error(w, r, http.StatusNotFound, "not_found", fmt.Errorf("no document %q", name))
+		s.error(w, http.StatusNotFound, "not_found", fmt.Errorf("no document %q", name))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"removed": name})
@@ -587,10 +570,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	case errors.Is(err, errShed):
 		s.m.Counter(obs.MQueriesShed).Add(1)
 		w.Header().Set("Retry-After", "1")
-		s.error(w, r, http.StatusServiceUnavailable, "overloaded", errors.New("server overloaded; retry later"))
+		s.error(w, http.StatusServiceUnavailable, "overloaded", errors.New("server overloaded; retry later"))
 	default:
 		// The client went away while queued; nothing useful to serve.
-		s.error(w, r, http.StatusServiceUnavailable, "canceled", err)
+		s.error(w, http.StatusServiceUnavailable, "canceled", err)
 	}
 	return false
 }
@@ -630,24 +613,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	qs := r.URL.Query()
 	keywords := qs.Get("q")
 	if keywords == "" {
-		s.error(w, r, http.StatusBadRequest, "bad_request", errors.New("missing q parameter"))
+		s.error(w, http.StatusBadRequest, "bad_request", errors.New("missing q parameter"))
 		return
 	}
 	filterSpec := qs.Get("filter")
 	opts, stratName, err := parseStrategy(qs.Get("strategy"))
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
 	limit := 20
 	if l := qs.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 1 {
-			s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("bad limit %q", l))
+			s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad limit %q", l))
 			return
 		}
 		if n > maxSearchLimit {
-			s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("limit %d exceeds maximum %d", n, maxSearchLimit))
+			s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("limit %d exceeds maximum %d", n, maxSearchLimit))
 			return
 		}
 		limit = n
@@ -656,17 +639,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if o := qs.Get("offset"); o != "" {
 		n, err := strconv.Atoi(o)
 		if err != nil || n < 0 {
-			s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("bad offset %q", o))
+			s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad offset %q", o))
 			return
 		}
 		offset = n
 	}
 	q, err := query.Parse(keywords, filterSpec)
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	resp := SearchResponse{Query: keywords, Filter: filterSpec, Strategy: stratName, Limit: limit, Offset: offset}
+	// Hits starts empty, not nil: a page past the end encodes "hits": [].
+	resp := SearchResponse{Query: keywords, Filter: filterSpec, Strategy: stratName, Limit: limit, Offset: offset, Hits: []SearchHit{}}
 	// Materialized-view fast path: a search matching a registered
 	// standing query is served from its answer set — O(page), no
 	// evaluation, no admission slot — and stays warm across ingest
@@ -696,7 +680,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel, err := s.queryDeadline(r)
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
 	defer cancel()
@@ -715,14 +699,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// the evaluation deadline down to the per-shard join loops.
 		res, err := s.st.Run(ctx, q, opts, offset+limit)
 		if err != nil {
-			s.error(w, r, http.StatusBadRequest, "bad_request", err)
+			s.error(w, http.StatusBadRequest, "bad_request", err)
 			return
 		}
 		hits, errs, resp.Total = res.Hits, res.Errors, res.Total
 	} else {
 		res, err := s.coll.RunContext(ctx, q, opts)
 		if err != nil {
-			s.error(w, r, http.StatusBadRequest, "bad_request", err)
+			s.error(w, http.StatusBadRequest, "bad_request", err)
 			return
 		}
 		hits, errs, resp.Total = res.Hits, res.Errors, len(res.Hits)
@@ -782,27 +766,20 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	qs := r.URL.Query()
 	keywords := qs.Get("q")
 	if keywords == "" {
-		s.error(w, r, http.StatusBadRequest, "bad_request", errors.New("missing q parameter"))
+		s.error(w, http.StatusBadRequest, "bad_request", errors.New("missing q parameter"))
 		return
 	}
 	q, err := query.Parse(keywords, qs.Get("filter"))
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	_, stratName, err := parseStrategy(qs.Get("strategy"))
+	// Under auto the static plan shown is push-down's; the per-shard
+	// plans below and trace=1 show what evaluation actually chooses.
+	strat, auto, err := cost.ParseStrategy(qs.Get("strategy"))
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
-	}
-	strat := cost.PushDown
-	switch stratName {
-	case "brute-force":
-		strat = cost.BruteForce
-	case "naive":
-		strat = cost.Naive
-	case "set-reduction":
-		strat = cost.SetReduction
 	}
 	body := map[string]any{
 		"query":    q.String(),
@@ -846,15 +823,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// document), with cardinalities and durations. The real run
 		// counts against the admission semaphore and the evaluation
 		// deadline like any search.
-		opts, _, err := parseStrategy(qs.Get("strategy"))
-		if err != nil {
-			s.error(w, r, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-		opts.Trace = true
+		opts := query.Options{Strategy: strat, Auto: auto, Trace: true}
 		ctx, cancel, err := s.queryDeadline(r)
 		if err != nil {
-			s.error(w, r, http.StatusBadRequest, "bad_request", err)
+			s.error(w, http.StatusBadRequest, "bad_request", err)
 			return
 		}
 		defer cancel()
@@ -869,14 +841,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if s.st != nil {
 			res, err := s.st.Run(ctx, q, opts, 0)
 			if err != nil {
-				s.error(w, r, http.StatusBadRequest, "bad_request", err)
+				s.error(w, http.StatusBadRequest, "bad_request", err)
 				return
 			}
 			spanByDoc, statByDoc = res.Traces, res.PerDocument
 		} else {
 			res, err := s.coll.RunContext(ctx, q, opts)
 			if err != nil {
-				s.error(w, r, http.StatusBadRequest, "bad_request", err)
+				s.error(w, http.StatusBadRequest, "bad_request", err)
 				return
 			}
 			spanByDoc, statByDoc = res.Traces, res.PerDocument
@@ -937,38 +909,42 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var st collection.Stats
+	var (
+		st     collection.Stats
+		engReg []*obs.Metrics
+	)
 	if s.st != nil {
-		st = s.st.Stats()
+		st, engReg = s.st.Stats(), s.st.ShardMetrics()
 	} else {
-		st = s.coll.Stats()
+		st, engReg = s.coll.Stats(), []*obs.Metrics{s.coll.Metrics()}
+	}
+	var joins uint64
+	for _, m := range engReg {
+		joins += m.Counter(obs.MJoins).Value()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"documents": st.Documents,
 		"nodes":     st.Nodes,
 		"terms":     st.Terms,
 		"postings":  st.Postings,
-		// process_joins is the process-wide join aggregate (every
-		// evaluation in this process, all collections); per-query counts
-		// live in query.Stats.Ops and /api/v1/metrics.
-		"process_joins": core.JoinCount(),
+		// process_joins is joins_total summed over this server's engine
+		// registries: every fragment join its evaluations have run.
+		// Per-query counts live in query.Stats.Ops and /api/v1/metrics.
+		"process_joins": joins,
 	})
 }
 
-func parseStrategy(s string) (query.Options, string, error) {
-	switch s {
-	case "", "auto":
+// parseStrategy turns the strategy parameter into evaluation options
+// plus the name the response echoes ("auto" when none was given).
+func parseStrategy(name string) (query.Options, string, error) {
+	strat, auto, err := cost.ParseStrategy(name)
+	switch {
+	case err != nil:
+		return query.Options{}, "", err
+	case auto:
 		return query.Options{Auto: true}, "auto", nil
-	case "brute-force":
-		return query.Options{Strategy: cost.BruteForce}, s, nil
-	case "naive":
-		return query.Options{Strategy: cost.Naive}, s, nil
-	case "set-reduction":
-		return query.Options{Strategy: cost.SetReduction}, s, nil
-	case "push-down":
-		return query.Options{Strategy: cost.PushDown}, s, nil
 	default:
-		return query.Options{}, "", fmt.Errorf("unknown strategy %q", s)
+		return query.Options{Strategy: strat}, name, nil
 	}
 }
 
@@ -991,26 +967,14 @@ type ErrorBody struct {
 	RequestID string `json:"request_id"`
 }
 
-// error writes an error response in the flavor the request arrived
-// under: the v1 envelope {"error":{"code","message","request_id"}}
-// for /api/v1, the legacy flat {"error": "message"} for the
-// deprecated aliases.
-func (s *Server) error(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
-	if isV1(r) {
-		writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
-			Code:      code,
-			Message:   err.Error(),
-			RequestID: w.Header().Get(RequestIDHeader),
-		}})
-		return
-	}
-	writeError(w, status, err)
-}
-
-// writeError writes the legacy flat error shape; the panic-recovery
-// middleware also uses it (a panic has no route flavor).
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// error writes an error response in the v1 envelope
+// {"error":{"code","message","request_id"}}.
+func (s *Server) error(w http.ResponseWriter, status int, code string, err error) {
+	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{
+		Code:      code,
+		Message:   err.Error(),
+		RequestID: w.Header().Get(RequestIDHeader),
+	}})
 }
 
 var _ http.Handler = (*Server)(nil)

@@ -289,3 +289,41 @@ func TestSearchDeadlineOverHTTP(t *testing.T) {
 		t.Fatalf("want 0 hits and 8 per-document errors, got %d/%d: %s", len(res.Hits), len(res.Errors), w.Body)
 	}
 }
+
+// TestStorePaginationThroughTies pages one hit at a time through hits
+// of equal score inside one document. Every page asks the store for a
+// different k = offset+limit, so the top-k heap must retain the same
+// prefix whatever k is: the pages' union is the unpaged list, in order,
+// with no hit repeated and none skipped.
+func TestStorePaginationThroughTies(t *testing.T) {
+	s, _ := storeServer(t, store.Options{Shards: 2})
+	const sec = "<s><p>foo</p><p>bar</p></s>"
+	if w := postDoc(t, s, "/api/v1/docs", "ties.xml", "<a>"+sec+sec+sec+"</a>"); w.Code != http.StatusCreated {
+		t.Fatalf("add: %d %s", w.Code, w.Body)
+	}
+	const q = "/api/v1/search?q=foo+bar&filter=size%3C%3D3"
+	full := searchResp(t, s, q)
+	if full.Total != 3 || len(full.Hits) != 3 {
+		t.Fatalf("unpaged: total=%d hits=%d, want 3 tied hits", full.Total, len(full.Hits))
+	}
+	for _, h := range full.Hits[1:] {
+		if h.Score != full.Hits[0].Score {
+			t.Fatalf("hits are not tied: %+v", full.Hits)
+		}
+	}
+	seen := map[int32]bool{}
+	for offset := 0; offset < full.Total; offset++ {
+		p := searchResp(t, s, fmt.Sprintf("%s&limit=1&offset=%d", q, offset))
+		if len(p.Hits) != 1 {
+			t.Fatalf("page@%d: %d hits, want 1", offset, len(p.Hits))
+		}
+		root := p.Hits[0].Root
+		if seen[root] {
+			t.Fatalf("page@%d repeats the hit rooted at node %d", offset, root)
+		}
+		seen[root] = true
+		if root != full.Hits[offset].Root {
+			t.Fatalf("page@%d serves root %d, unpaged list has %d there", offset, root, full.Hits[offset].Root)
+		}
+	}
+}

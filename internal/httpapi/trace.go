@@ -88,12 +88,12 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	raw := r.PathValue("id")
 	id, ok := obs.ParseTraceID(raw)
 	if !ok {
-		s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("bad trace id %q (want 32 hex digits)", raw))
+		s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad trace id %q (want 32 hex digits)", raw))
 		return
 	}
 	recs := s.rec.Lookup(id)
 	if len(recs) == 0 {
-		s.error(w, r, http.StatusNotFound, "not_found", errors.New("trace not found (expired from the ring, or never sampled)"))
+		s.error(w, http.StatusNotFound, "not_found", errors.New("trace not found (expired from the ring, or never sampled)"))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"trace_id": id.String(), "records": recs})

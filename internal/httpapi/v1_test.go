@@ -16,23 +16,10 @@ import (
 	"repro/internal/store"
 )
 
-// legacyServer builds a server that opts back into the retired
-// un-versioned /api aliases, as -legacy-api does.
-func legacyServer(t testing.TB) *Server {
-	t.Helper()
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	return NewWithConfig(coll, Config{LegacyAPI: true})
-}
-
-// TestV1ErrorEnvelope checks the two error shapes: /api/v1 responds
-// with {"error":{"code","message","request_id"}}, the deprecated
-// /api alias (when opted back in) keeps the original flat
-// {"error":"message"} that existing clients parse.
+// TestV1ErrorEnvelope checks the error shape of /api/v1:
+// {"error":{"code","message","request_id"}}.
 func TestV1ErrorEnvelope(t *testing.T) {
-	s := legacyServer(t)
+	s := testServer(t)
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/search", nil))
@@ -52,49 +39,17 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	if env.Error.RequestID == "" || env.Error.RequestID != rec.Header().Get(RequestIDHeader) {
 		t.Fatalf("request_id %q does not match header %q", env.Error.RequestID, rec.Header().Get(RequestIDHeader))
 	}
-
-	rec, body := get(t, s, "/api/search")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("legacy code = %d", rec.Code)
-	}
-	if _, ok := body["error"].(string); !ok {
-		t.Fatalf("legacy error must stay a flat string: %s", rec.Body)
-	}
 }
 
-// TestLegacyAPIDefaultOff checks the un-versioned aliases are gone
-// unless -legacy-api opts back in: the default server 404s them.
-func TestLegacyAPIDefaultOff(t *testing.T) {
+// TestUnversionedPathsNotFound checks nothing serves outside /api/v1:
+// the un-versioned /api/* paths of the first release are 404.
+func TestUnversionedPathsNotFound(t *testing.T) {
 	s := testServer(t)
 	for _, path := range []string{"/api/docs", "/api/search?q=xquery", "/api/stats", "/api/metrics"} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusNotFound {
-			t.Fatalf("%s = %d, want 404 with legacy API off", path, rec.Code)
-		}
-	}
-}
-
-// TestV1DeprecationAliases checks every legacy route (behind the
-// -legacy-api opt-in) answers identically to its v1 twin but flags
-// itself deprecated with a successor-version link.
-func TestV1DeprecationAliases(t *testing.T) {
-	s := legacyServer(t)
-	for _, path := range []string{"/docs", "/search?q=xquery", "/stats", "/metrics"} {
-		legacy, _ := get(t, s, "/api"+path)
-		v1, _ := get(t, s, "/api/v1"+path)
-		if legacy.Code != v1.Code {
-			t.Fatalf("%s: legacy %d != v1 %d", path, legacy.Code, v1.Code)
-		}
-		if legacy.Header().Get("Deprecation") != "true" {
-			t.Fatalf("%s: legacy route missing Deprecation header", path)
-		}
-		link := legacy.Header().Get("Link")
-		if !strings.Contains(link, "/api/v1") || !strings.Contains(link, "successor-version") {
-			t.Fatalf("%s: bad Link header %q", path, link)
-		}
-		if v1.Header().Get("Deprecation") != "" {
-			t.Fatalf("%s: v1 route must not be deprecated", path)
+			t.Fatalf("%s = %d, want 404", path, rec.Code)
 		}
 	}
 }
@@ -130,10 +85,28 @@ func TestV1SearchPagination(t *testing.T) {
 		}
 	}
 
-	past := searchResp(t, s, q+"&offset=100")
-	if past.Returned != 0 || past.Total != 4 {
-		t.Fatalf("past-the-end: returned=%d total=%d", past.Returned, past.Total)
+	// A page past the end is an empty list, not null — from an
+	// evaluation and, once the query is a standing one, from its
+	// materialized view.
+	pastTheEnd := func(path string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q+"&offset=100", nil))
+		var past struct {
+			Hits     json.RawMessage `json:"hits"`
+			Total    int             `json:"total"`
+			Returned int             `json:"returned"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &past); err != nil {
+			t.Fatal(err)
+		}
+		if past.Returned != 0 || past.Total != 4 || string(past.Hits) != "[]" {
+			t.Fatalf("past-the-end (%s): returned=%d total=%d hits=%s, want 0, 4, []", path, past.Returned, past.Total, past.Hits)
+		}
 	}
+	pastTheEnd("evaluated")
+	createWatch(t, s)
+	pastTheEnd("standing view")
 
 	for _, bad := range []string{"&offset=-1", "&offset=x", "&limit=0", "&limit=99999"} {
 		rec := httptest.NewRecorder()

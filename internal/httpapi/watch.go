@@ -62,7 +62,7 @@ func wantsSSE(r *http.Request) bool {
 // plain JSON otherwise — one error shape across the whole surface.
 func (s *Server) streamError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
 	if !wantsSSE(r) {
-		s.error(w, r, status, code, err)
+		s.error(w, status, code, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -88,26 +88,26 @@ func (s *Server) handleWatchCreate(w http.ResponseWriter, r *http.Request) {
 	var req WatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err := dec.Decode(&req); err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("bad JSON body: %w", err))
+		s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if req.Query == "" {
-		s.error(w, r, http.StatusBadRequest, "bad_request", errors.New("need query"))
+		s.error(w, http.StatusBadRequest, "bad_request", errors.New("need query"))
 		return
 	}
 	opts, stratName, err := parseStrategy(req.Strategy)
 	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
 	sub, err := s.reg.Register(req.Query, req.Filter, opts, stratName)
 	switch {
 	case errors.Is(err, standing.ErrTooManySubscriptions):
 		w.Header().Set("Retry-After", "1")
-		s.error(w, r, http.StatusTooManyRequests, "subscription_limit", err)
+		s.error(w, http.StatusTooManyRequests, "subscription_limit", err)
 		return
 	case err != nil:
-		s.error(w, r, http.StatusBadRequest, "bad_request", err)
+		s.error(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
 	hits := sub.Snapshot()
@@ -134,7 +134,7 @@ func (s *Server) handleWatchList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleWatchDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.reg.Cancel(id) {
-		s.error(w, r, http.StatusNotFound, "not_found", fmt.Errorf("no subscription %q", id))
+		s.error(w, http.StatusNotFound, "not_found", fmt.Errorf("no subscription %q", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"canceled": id})
@@ -184,7 +184,7 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, sub *stan
 	if v := qs.Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
-			s.error(w, r, http.StatusBadRequest, "bad_request", fmt.Errorf("bad wait %q (want a duration like 20s)", v))
+			s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad wait %q (want a duration like 20s)", v))
 			return
 		}
 		wait = min(d, maxLongPollWait)
@@ -208,10 +208,10 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, sub *stan
 		})
 		return
 	case errors.Is(err, standing.ErrCanceled):
-		s.error(w, r, http.StatusGone, "canceled", errors.New("subscription canceled"))
+		s.error(w, http.StatusGone, "canceled", errors.New("subscription canceled"))
 		return
 	case err != nil:
-		s.error(w, r, http.StatusInternalServerError, "internal", err)
+		s.error(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
 	if events == nil {
@@ -230,7 +230,7 @@ func (s *Server) serveLongPoll(w http.ResponseWriter, r *http.Request, sub *stan
 func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *standing.Subscription, since uint64) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.error(w, r, http.StatusInternalServerError, "internal", errors.New("response writer does not support streaming"))
+		s.error(w, http.StatusInternalServerError, "internal", errors.New("response writer does not support streaming"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -355,7 +355,7 @@ func TestRouteManifest(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("manifest = %d", rec.Code)
 	}
-	if body["service"] != "xfrag" || body["version"] != "v1" || body["legacy_api"] != false {
+	if body["service"] != "xfrag" || body["version"] != "v1" {
 		t.Fatalf("manifest header = %v", body)
 	}
 	routes := body["routes"].([]any)
@@ -371,46 +371,23 @@ func TestRouteManifest(t *testing.T) {
 		if index[want] == nil {
 			t.Fatalf("manifest missing %q: %v", want, index)
 		}
-		if index[want]["deprecated"] != false {
-			t.Fatalf("%s marked deprecated", want)
-		}
 	}
 	// Params are documented for search.
 	if params := index["GET /api/v1/search"]["params"].([]any); len(params) == 0 {
 		t.Fatal("search route has no documented params")
 	}
-	// No legacy rows without the opt-in.
+	// Every row is a served /api/v1 route.
 	for key := range index {
 		if !strings.Contains(key, "/api/v1") {
-			t.Fatalf("legacy row %q present without -legacy-api", key)
+			t.Fatalf("manifest row %q is outside /api/v1", key)
 		}
-	}
-
-	// With the opt-in, legacy rows appear, deprecated, with successors.
-	ls := legacyServer(t)
-	_, lbody := get(t, ls, "/api/v1")
-	if lbody["legacy_api"] != true {
-		t.Fatalf("legacy manifest header = %v", lbody["legacy_api"])
-	}
-	found := false
-	for _, r := range lbody["routes"].([]any) {
-		m := r.(map[string]any)
-		if m["path"] == "/api/search" {
-			found = true
-			if m["deprecated"] != true || m["successor"] != "/api/v1/search" {
-				t.Fatalf("legacy search row = %v", m)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("legacy search row missing from opted-in manifest")
 	}
 }
 
-// TestSearchFastPathServesMaterializedView checks the result-cache
-// redesign: a search matching a standing query is answered from the
+// TestSearchFastPathServesMaterializedView checks the search fast
+// path: a search matching a standing query is answered from the
 // materialized view (counted), and the view keeps tracking ingest —
-// precise invalidation instead of drop-everything.
+// maintained per document, never dropped.
 func TestSearchFastPathServesMaterializedView(t *testing.T) {
 	s := testServer(t)
 	createWatch(t, s)

@@ -12,10 +12,9 @@ import "sync/atomic"
 
 // EvalCounters counts the work of ONE evaluation. A fresh value is
 // created per query evaluation and threaded through the algebra, so
-// concurrent evaluations never observe each other's operations (the
-// defect of the old process-global join counter). All methods are
-// nil-safe: calling them on a nil *EvalCounters is a no-op, which
-// lets the algebra's uncounted entry points pass nil instead of
+// concurrent evaluations never observe each other's operations. All
+// methods are nil-safe: calling them on a nil *EvalCounters is a no-op,
+// which lets the algebra's uncounted entry points pass nil instead of
 // branching.
 type EvalCounters struct {
 	joins         atomic.Uint64
@@ -23,8 +22,6 @@ type EvalCounters struct {
 	powersetExp   atomic.Uint64
 	fixedPointIts atomic.Uint64
 	filterPrunes  atomic.Uint64
-	cacheHits     atomic.Uint64
-	cacheMisses   atomic.Uint64
 	joinMemoHits  atomic.Uint64
 	dedupProbes   atomic.Uint64
 	postingPrunes atomic.Uint64
@@ -98,20 +95,6 @@ func (c *EvalCounters) AddPostingPrunes(n uint64) {
 	}
 }
 
-// AddCacheHits counts n result-cache hits.
-func (c *EvalCounters) AddCacheHits(n uint64) {
-	if c != nil {
-		c.cacheHits.Add(n)
-	}
-}
-
-// AddCacheMisses counts n result-cache misses.
-func (c *EvalCounters) AddCacheMisses(n uint64) {
-	if c != nil {
-		c.cacheMisses.Add(n)
-	}
-}
-
 // Joins returns the fragment-join count (0 on a nil receiver).
 func (c *EvalCounters) Joins() uint64 {
 	if c == nil {
@@ -138,8 +121,6 @@ func (c *EvalCounters) Reset() {
 	c.powersetExp.Store(0)
 	c.fixedPointIts.Store(0)
 	c.filterPrunes.Store(0)
-	c.cacheHits.Store(0)
-	c.cacheMisses.Store(0)
 	c.joinMemoHits.Store(0)
 	c.dedupProbes.Store(0)
 	c.postingPrunes.Store(0)
@@ -157,8 +138,6 @@ func (c *EvalCounters) Snapshot() CounterSnapshot {
 		PowersetExpansions:   c.powersetExp.Load(),
 		FixedPointIterations: c.fixedPointIts.Load(),
 		FilterPrunes:         c.filterPrunes.Load(),
-		CacheHits:            c.cacheHits.Load(),
-		CacheMisses:          c.cacheMisses.Load(),
 		JoinMemoHits:         c.joinMemoHits.Load(),
 		DedupProbes:          c.dedupProbes.Load(),
 		PostingPrunes:        c.postingPrunes.Load(),
@@ -173,18 +152,7 @@ type CounterSnapshot struct {
 	PowersetExpansions   uint64 `json:"powerset_expansions"`
 	FixedPointIterations uint64 `json:"fixedpoint_iterations"`
 	FilterPrunes         uint64 `json:"filter_prunes"`
-	CacheHits            uint64 `json:"cache_hits"`
-	CacheMisses          uint64 `json:"cache_misses"`
 	JoinMemoHits         uint64 `json:"join_memo_hits"`
 	DedupProbes          uint64 `json:"dedup_probes"`
 	PostingPrunes        uint64 `json:"posting_prunes"`
 }
-
-// process aggregates fragment joins across every evaluation in the
-// process, preserving the old process-wide join counter as an
-// aggregate (the deprecated core.JoinCount shim and /api/stats read
-// it). Per-evaluation numbers come from EvalCounters, never from here.
-var process EvalCounters
-
-// Process returns the process-wide aggregate counters.
-func Process() *EvalCounters { return &process }

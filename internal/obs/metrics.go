@@ -25,8 +25,6 @@ const (
 	MPowersetExpansions   = "powerset_expansions_total"
 	MFixedPointIterations = "fixedpoint_iterations_total"
 	MFilterPrunes         = "filter_prunes_total"
-	MCacheHits            = "cache_hits_total"
-	MCacheMisses          = "cache_misses_total"
 	MQuerySeconds         = "query_seconds"
 	MAnswerFragments      = "answer_fragments"
 	MHTTPRequests         = "http_requests_total"
@@ -345,8 +343,6 @@ func (m *Metrics) RecordEval(s CounterSnapshot, elapsed time.Duration, answers i
 	m.Counter(MFixedPointIterations).Add(s.FixedPointIterations)
 	m.Counter(MFilterPrunes).Add(s.FilterPrunes)
 	m.Counter(MPostingPrunes).Add(s.PostingPrunes)
-	m.Counter(MCacheHits).Add(s.CacheHits)
-	m.Counter(MCacheMisses).Add(s.CacheMisses)
 	m.Histogram(MQuerySeconds, LatencyBuckets).Observe(elapsed.Seconds())
 	m.Histogram(MAnswerFragments, SizeBuckets).Observe(float64(answers))
 }

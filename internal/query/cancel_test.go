@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -89,34 +88,6 @@ func TestCancellationExpiredUpfront(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Fatalf("expired-context evaluation took %v, want immediate return", elapsed)
-	}
-}
-
-// TestCancellationNoGoroutineLeak cancels parallel push-down
-// evaluations mid-join and checks every worker goroutine drains.
-func TestCancellationNoGoroutineLeak(t *testing.T) {
-	x := adversarialIndex(t, 14)
-	q := MustNew([]string{"alpha", "beta"}, filter.MaxSize(25))
-	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-		_, err := EvaluateContext(ctx, x, q, Options{
-			Strategy: cost.PushDown, Workers: -1, MaxFragments: 1 << 30,
-		})
-		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: before=%d after=%d; workers leaked", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cost"
 	"repro/internal/filter"
 )
 
@@ -36,11 +35,7 @@ func TestConcurrentEvaluationsIndependentStats(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					opts := Options{Strategy: strat}
-					if strat == cost.PushDown {
-						opts.Workers = 2 // exercise the parallel counting paths too
-					}
-					results[i], errs[i] = Evaluate(x, q, opts)
+					results[i], errs[i] = Evaluate(x, q, Options{Strategy: strat})
 				}(i)
 			}
 			wg.Wait()

@@ -36,19 +36,9 @@ type Options struct {
 	// powerset join is worst-case exponential; Section 3.1). Zero
 	// means DefaultMaxFragments.
 	MaxFragments int
-	// Workers parallelizes the push-down strategy's joins across
-	// goroutines: 0 or 1 evaluates sequentially, n > 1 uses n workers,
-	// and a negative value uses GOMAXPROCS. Only PushDown consults it
-	// (the other strategies exist as comparison baselines).
-	Workers int
 	// Trace records a per-operator span tree (operator, cardinalities,
 	// durations) into Result.Trace.
 	Trace bool
-	// Counters, when non-nil, receives this evaluation's operator
-	// counts in addition to Stats.Ops — callers (the engine) use it to
-	// pre-attribute work such as cache misses. When nil, Evaluate uses
-	// a private set of counters.
-	Counters *obs.EvalCounters
 }
 
 // DefaultMaxFragments is the intermediate-set budget applied when
@@ -104,7 +94,7 @@ type Stats struct {
 	Joins uint64
 	// Ops holds every operator counter of this evaluation: joins,
 	// pairwise joins, powerset expansions, fixed-point iterations,
-	// filter prunes, cache hits/misses.
+	// filter prunes, memo hits, dedup probes, posting prunes.
 	Ops obs.CounterSnapshot
 	// Elapsed is wall-clock evaluation time.
 	Elapsed time.Duration
@@ -191,8 +181,7 @@ func IsCanceled(err error) (*Canceled, bool) {
 // Evaluate answers q against the indexed document. All strategies
 // produce identical answer sets; they differ in the work performed.
 // Statistics are counted per evaluation (Stats.Ops), so concurrent
-// evaluations are independent; only the process-wide aggregate
-// obs.Process advances globally. Evaluate never stops early: it is
+// evaluations are independent. Evaluate never stops early: it is
 // EvaluateContext with a background context.
 func Evaluate(x *index.Index, q Query, opts Options) (Result, error) {
 	return EvaluateContext(context.Background(), x, q, opts)
@@ -201,19 +190,16 @@ func Evaluate(x *index.Index, q Query, opts Options) (Result, error) {
 // EvaluateContext is Evaluate with cooperative cancellation: the
 // fixed-point, pairwise-join and powerset-join inner loops poll ctx
 // amortized (every few hundred fragment joins), so a cancelled or
-// deadline-expired query stops promptly — including its push-down
-// stripe workers — instead of running until the fragment budget
-// trips. A stopped evaluation returns a *Canceled error wrapping
-// ctx.Err() and carrying the partial Stats of the work done.
+// deadline-expired query stops promptly instead of running until the
+// fragment budget trips. A stopped evaluation returns a *Canceled
+// error wrapping ctx.Err() and carrying the partial Stats of the work
+// done.
 func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options) (Result, error) {
 	if len(q.Terms) == 0 {
 		return Result{}, fmt.Errorf("query: empty query")
 	}
 	start := time.Now()
-	ec := &EvalContext{Ctx: ctx, Counters: opts.Counters}
-	if ec.Counters == nil {
-		ec.Counters = new(obs.EvalCounters)
-	}
+	ec := &EvalContext{Ctx: ctx, Counters: new(obs.EvalCounters)}
 	ec.State = core.NewEvalState(ec.Counters)
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		// A sampled request carries its span through ctx; root this
@@ -354,11 +340,7 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 	case cost.Naive, cost.SetReduction:
 		answers, err = evalFixedPoints(ec, ordered, q, &stats, budget, perSet)
 	case cost.PushDown:
-		workers := opts.Workers
-		if workers < 0 {
-			workers = core.ResolveWorkers(workers)
-		}
-		answers, err = evalPushDown(ec, ordered, q, &stats, budget, workers)
+		answers, err = evalPushDown(ec, ordered, q, &stats, budget)
 	default:
 		err = fmt.Errorf("query: unknown strategy %v", strategy)
 	}
@@ -438,7 +420,7 @@ func evalBruteForce(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, bu
 	}
 	joinStart := time.Now()
 	sp := ctx.Span.Start("powerset-join", "")
-	rows, err := core.MultiPowersetJoinTraceCtx(ctx.Ctx, ctx.State, seedSets(seeds), nil)
+	rows, err := core.MultiPowersetJoinTrace(ctx.Ctx, ctx.State, seedSets(seeds), nil)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
@@ -472,9 +454,9 @@ func fixedPointFor(stats *Stats, perSet []cost.Strategy, ref seedRef) fixedPoint
 		s = perSet[ref.group]
 	}
 	if s == cost.SetReduction {
-		return core.FixedPointBoundedCtx
+		return core.FixedPointBounded
 	}
-	return core.FixedPointNaiveBoundedCtx
+	return core.FixedPointNaiveBounded
 }
 
 // evalFixedPoints is Sections 3.1/4.2: per-term fixed points (naive or
@@ -504,7 +486,7 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 		joinStart := time.Now()
 		spJ := ctx.Span.Start("pairwise-join", "")
 		inL, inR := acc.Len(), next.Len()
-		if acc, err = core.PairwiseJoinBoundedCtx(ctx.Ctx, ctx.State, acc, next, budget); err != nil {
+		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, nil, budget); err != nil {
 			return nil, err
 		}
 		spJ.Finish(acc.Len(), inL, inR)
@@ -520,14 +502,14 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 // With no anti-monotonic clause this degenerates gracefully: the
 // pushable filter is accept-all and the evaluation equals the
 // set-reduction strategy.
-func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budget, workers int) (*core.Set, error) {
+func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budget int) (*core.Set, error) {
 	pushable := q.Pushable()
 	// Evaluate the pushed conjunction cheap-clauses-first; span labels
 	// keep the query's clause order via pushable.Name.
 	push := q.pushableFunc()
 	fpStart := time.Now()
 	sp := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(seeds[0].term, pushable.Name))
-	acc, err := core.FilteredFixedPointParallelCtx(ctx.Ctx, ctx.State, seeds[0].set, push, workers, budget)
+	acc, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, seeds[0].set, push, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +519,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 	for _, s := range seeds[1:] {
 		fpStart = time.Now()
 		spFP := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(s.term, pushable.Name))
-		next, err := core.FilteredFixedPointParallelCtx(ctx.Ctx, ctx.State, s.set, push, workers, budget)
+		next, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, s.set, push, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -547,7 +529,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 		joinStart := time.Now()
 		spJ := ctx.Span.Start("filtered-pairwise-join", pushable.Name)
 		inL, inR := acc.Len(), next.Len()
-		if acc, err = core.PairwiseJoinFilteredParallelCtx(ctx.Ctx, ctx.State, acc, next, push, workers, budget); err != nil {
+		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, push, budget); err != nil {
 			return nil, err
 		}
 		spJ.Finish(acc.Len(), inL, inR)

@@ -358,31 +358,3 @@ func TestStructuralPushDown(t *testing.T) {
 		t.Fatal("expected in-section answers")
 	}
 }
-
-// TestParallelEvaluation checks that parallel push-down returns the
-// same answers as sequential.
-func TestParallelEvaluation(t *testing.T) {
-	cfg := docgen.Config{
-		Seed: 91, Sections: 5, MeanFanout: 4, Depth: 3, VocabSize: 150,
-		Plant: map[string]int{"parterma": 10, "partermb": 10},
-	}
-	d, err := docgen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := index.New(d)
-	q := MustNew([]string{"parterma", "partermb"}, filter.MaxSize(5))
-	seq, err := Evaluate(x, q, Options{Strategy: cost.PushDown})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, -1} {
-		par, err := Evaluate(x, q, Options{Strategy: cost.PushDown, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !par.Answers.Equal(seq.Answers) {
-			t.Fatalf("workers=%d: parallel answers differ", workers)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"os"
 	"path/filepath"
@@ -74,11 +75,15 @@ func TestCollectionRoundTripQueries(t *testing.T) {
 		{"xquery optimization", "size<=3"},
 		{"snapterm shotterm", "size<=5"},
 	} {
-		before, err := c.Search(qspec.q, qspec.f, query.Options{Auto: true})
+		q, err := query.Parse(qspec.q, qspec.f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := c2.Search(qspec.q, qspec.f, query.Options{Auto: true})
+		before, err := c.RunContext(context.Background(), q, query.Options{Auto: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := c2.RunContext(context.Background(), q, query.Options{Auto: true})
 		if err != nil {
 			t.Fatal(err)
 		}

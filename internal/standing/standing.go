@@ -272,7 +272,7 @@ func (r *Registry) Register(keywords, filterSpec string, opts query.Options, lab
 		keywords: keywords,
 		filter:   filterSpec,
 		strategy: label,
-		cacheKey: engine.CacheKey(q, opts),
+		viewKey:  viewKey(q, opts),
 		buffer:   r.opts.Buffer,
 		notify:   make(chan struct{}),
 		created:  time.Now(),
@@ -335,20 +335,36 @@ func (r *Registry) List() []*Subscription {
 // Lookup finds a live subscription whose compiled (query, options)
 // identity matches — the search fast path: a search for a standing
 // query is served from the materialized view instead of re-evaluating
-// the corpus. Identity uses the engine result-cache key, so "matches"
-// here is exactly "the engine cache would have considered these the
-// same query".
+// the corpus. Identity is the viewKey fingerprint.
 func (r *Registry) Lookup(q query.Query, opts query.Options) (*Subscription, bool) {
-	key := engine.CacheKey(q, opts)
+	key := viewKey(q, opts)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var best *Subscription
 	for _, s := range r.subs {
-		if s.cacheKey == key && (best == nil || s.id < best.id) {
+		if s.viewKey == key && (best == nil || s.id < best.id) {
 			best = s
 		}
 	}
 	return best, best != nil
+}
+
+// viewKey fingerprints a (query, options) pair as the identity of a
+// materialized view. Only fields that can change the answer set
+// participate: chooser settings change the work, not the result — but
+// the strategy choice can change which error is returned, so it is
+// included.
+func viewKey(q query.Query, opts query.Options) string {
+	qs := q.String()
+	b := make([]byte, 0, len(qs)+24)
+	b = append(b, qs...)
+	b = append(b, "|s="...)
+	b = strconv.AppendInt(b, int64(opts.Strategy), 10)
+	b = append(b, "|a="...)
+	b = strconv.AppendBool(b, opts.Auto)
+	b = append(b, "|mf="...)
+	b = strconv.AppendInt(b, int64(opts.MaxFragments), 10)
+	return string(b)
 }
 
 // Drain blocks until every change enqueued before the call has been
@@ -500,7 +516,7 @@ type Subscription struct {
 	keywords string
 	filter   string
 	strategy string
-	cacheKey string
+	viewKey  string
 	buffer   int
 	created  time.Time
 

@@ -443,31 +443,6 @@ func TestRegisterLimitAndLookup(t *testing.T) {
 	}
 }
 
-// TestDeltaWarmsEngineCache pins the warm-cache story: the standing
-// re-evaluation of a replaced document lands in that document's fresh
-// engine result cache, so the next search of the standing query hits.
-func TestDeltaWarmsEngineCache(t *testing.T) {
-	coll := collection.New()
-	coll.SetResultCache(16)
-	if err := coll.Add(matchDoc(t, "a.xml", "one")); err != nil {
-		t.Fatal(err)
-	}
-	r := newTestRegistry(t, coll, Options{})
-	opts := query.Options{Auto: true}
-	if _, err := r.Register("alpha beta", "size<=3", opts, ""); err != nil {
-		t.Fatal(err)
-	}
-	coll.Replace(matchDoc(t, "a.xml", "two"))
-	drain(t, r)
-	q, err := query.Parse("alpha beta", "size<=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := coll.Engine("a.xml").CachedAnswer(q, opts); !ok {
-		t.Fatal("delta evaluation did not warm the replaced engine's cache")
-	}
-}
-
 // BenchmarkStandingDelta is the acceptance benchmark: maintaining a
 // standing query's view through one document change (delta) versus
 // re-evaluating the query over the whole 300-document corpus (full).

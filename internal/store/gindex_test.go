@@ -26,7 +26,7 @@ var indexBattery = []struct{ q, filter string }{
 // searchKeys runs one battery entry and projects the hits.
 func searchKeys(t *testing.T, s *Store, q, filter string) []string {
 	t.Helper()
-	r, err := s.Search(context.Background(), q, filter, query.Options{Auto: true}, 0)
+	r, err := search(context.Background(), s, q, filter, query.Options{Auto: true}, 0)
 	if err != nil {
 		t.Fatalf("search %q / %q: %v", q, filter, err)
 	}

@@ -40,7 +40,7 @@ func TestPlannerAnswersMatchForcedStrategies(t *testing.T) {
 		}
 	}
 	for _, tc := range plannerQueries {
-		auto, err := st.Search(context.Background(), tc.keywords, tc.filters, query.Options{Auto: true}, 0)
+		auto, err := search(context.Background(), st, tc.keywords, tc.filters, query.Options{Auto: true}, 0)
 		if err != nil {
 			t.Fatalf("auto search %q: %v", tc.keywords, err)
 		}
@@ -49,7 +49,7 @@ func TestPlannerAnswersMatchForcedStrategies(t *testing.T) {
 		}
 		want := hitKeys(auto.Hits)
 		for _, strat := range []cost.Strategy{cost.Naive, cost.SetReduction} {
-			forced, err := st.Search(context.Background(), tc.keywords, tc.filters, query.Options{Strategy: strat}, 0)
+			forced, err := search(context.Background(), st, tc.keywords, tc.filters, query.Options{Strategy: strat}, 0)
 			if err != nil {
 				t.Fatalf("forced %v search %q: %v", strat, tc.keywords, err)
 			}

@@ -49,7 +49,7 @@ func TestReadinessLifecycle(t *testing.T) {
 	if s.Remove("a.xml") {
 		t.Fatal("Remove must refuse during replay")
 	}
-	res, err := s.Search(context.Background(), "ready", "", query.Options{Auto: true}, 0)
+	res, err := search(context.Background(), s, "ready", "", query.Options{Auto: true}, 0)
 	if err != nil || len(res.Hits) == 0 {
 		t.Fatalf("search during replay: %v (%d hits)", err, len(res.Hits))
 	}

@@ -94,11 +94,11 @@ func TestReplicationRoundTrip(t *testing.T) {
 		}
 	}
 	for _, q := range []string{"alpha", "alpha|gamma", "delta replacement"} {
-		want, err := primary.Search(context.Background(), q, "", query.Options{Auto: true}, 0)
+		want, err := search(context.Background(), primary, q, "", query.Options{Auto: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := replica.Search(context.Background(), q, "", query.Options{Auto: true}, 0)
+		got, err := search(context.Background(), replica, q, "", query.Options{Auto: true}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

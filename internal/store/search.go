@@ -17,8 +17,8 @@ import (
 // Result is a merged store-wide search result: the global top-k hits
 // across every shard plus per-document stats and errors.
 type Result struct {
-	// Hits in descending score order (ties broken by document name),
-	// capped at the requested k.
+	// Hits in serving order (collection.BetterHit), capped at the
+	// requested k.
 	Hits []collection.Hit
 	// Total counts every hit across the store, before the top-k cap.
 	Total int
@@ -35,20 +35,12 @@ type Result struct {
 	Traces map[string]*obs.Span
 }
 
-// Search parses and evaluates a keyword/filter query across every
-// shard. k caps the merged hit list (k <= 0 keeps every hit).
-func (s *Store) Search(ctx context.Context, keywords, filterSpec string, opts query.Options, k int) (*Result, error) {
-	q, err := query.Parse(keywords, filterSpec)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(ctx, q, opts, k)
-}
-
 // Run scatter-gathers a prebuilt query: every shard evaluates
 // concurrently under ctx (each with its bounded per-document worker
 // pool), and the per-shard ranked lists merge through a global top-k
 // heap — O(total·log k) instead of sorting the full concatenation.
+// k caps the merged hit list (k <= 0 keeps every hit). Parse
+// keyword/filter strings with query.Parse.
 func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k int) (*Result, error) {
 	shardResults := make([]*collection.Result, len(s.shards))
 	shardErrs := make([]error, len(s.shards))
@@ -81,7 +73,9 @@ func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k in
 			// most documents answerless before any evaluation runs.
 			// Skipped during replay (the index may not yet cover every
 			// already-searchable document) and when the query carries no
-			// term groups for the index to work with.
+			// term groups for the index to work with: allow then stays
+			// nil, which evaluates every document of the shard.
+			var allow []string
 			if s.gidx != nil && !s.replaying.Load() {
 				psp := ssp.Start("posting-prefilter", "")
 				cand := s.gidx.Shard(i).Candidates(q, cost.DefaultPostingPrune())
@@ -91,17 +85,10 @@ func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k in
 					if pruned := cand.Total - len(cand.Names); pruned > 0 {
 						s.metrics.Counter(obs.MIndexPrunedDocs).Add(uint64(pruned))
 					}
-					shardResults[i], shardErrs[i] = sh.RunContextOn(shardCtx, q, shardOpts, cand.Names)
-					hits := 0
-					if shardResults[i] != nil {
-						hits = len(shardResults[i].Hits)
-						s.observeShardStages(i, shardResults[i])
-					}
-					ssp.Finish(hits)
-					return
+					allow = cand.Names
 				}
 			}
-			shardResults[i], shardErrs[i] = sh.RunContext(shardCtx, q, shardOpts)
+			shardResults[i], shardErrs[i] = sh.RunContextOn(shardCtx, q, shardOpts, allow)
 			hits := 0
 			if shardResults[i] != nil {
 				hits = len(shardResults[i].Hits)
@@ -147,14 +134,14 @@ func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k in
 				heap.Push(h, hit)
 				continue
 			}
-			if betterHit(hit, (*h)[0]) {
+			if collection.BetterHit(hit, (*h)[0]) {
 				(*h)[0] = hit
 				heap.Fix(h, 0)
 			}
 		}
 	}
 	if k <= 0 {
-		sort.SliceStable(out.Hits, func(i, j int) bool { return betterHit(out.Hits[i], out.Hits[j]) })
+		sort.Slice(out.Hits, func(i, j int) bool { return collection.BetterHit(out.Hits[i], out.Hits[j]) })
 	} else {
 		out.Hits = make([]collection.Hit, h.Len())
 		for i := h.Len() - 1; i >= 0; i-- {
@@ -184,21 +171,14 @@ func (s *Store) observeShardStages(i int, sr *collection.Result) {
 	}
 }
 
-// betterHit orders hits the way the merged list presents them:
-// descending score, ties by ascending document name.
-func betterHit(a, b collection.Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.Document < b.Document
-}
-
-// hitHeap is a min-heap on betterHit: the root is the worst retained
-// hit, evicted first when a better one arrives.
+// hitHeap is a min-heap on collection.BetterHit: the root is the worst
+// retained hit, evicted first when a better one arrives. BetterHit is a
+// total order, so the k hits retained — and therefore every
+// limit/offset page — do not depend on k or on arrival order.
 type hitHeap []collection.Hit
 
 func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return betterHit(h[j], h[i]) }
+func (h hitHeap) Less(i, j int) bool { return collection.BetterHit(h[j], h[i]) }
 func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *hitHeap) Push(x any)        { *h = append(*h, x.(collection.Hit)) }
 func (h *hitHeap) Pop() any {

@@ -91,11 +91,6 @@ type Options struct {
 	// already loaded — a load balancer watching /readyz keeps traffic
 	// away from the node until replay completes.
 	BackgroundReplay bool
-	// CacheEntries enables a per-document LRU result cache of this
-	// many entries on every shard (0 disables). Sound because engines
-	// are immutable: replacing a document swaps in a fresh engine with
-	// a fresh cache, so stale answers cannot survive a replace.
-	CacheEntries int
 	// IndexDir enables the persistent global term index
 	// (internal/gindex): per-shard segment files of term → (doc, Dewey
 	// label) postings. On restart, documents covered by segments skip
@@ -246,7 +241,6 @@ func Open(opts Options) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i] = collection.New()
 		s.shards[i].SetSearchWorkers(perShard)
-		s.shards[i].SetResultCache(opts.CacheEntries)
 		// Statistics attach before recovery so WAL replay, snapshot
 		// loads and replica bootstrap all feed the planner aggregates.
 		s.stats[i] = stats.NewShard()

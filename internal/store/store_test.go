@@ -28,6 +28,16 @@ func testDoc(i int) (name, xml string) {
 	return name, xml
 }
 
+// search parses a keyword/filter query and runs it across every shard
+// of st; k caps the merged hit list as in Run.
+func search(ctx context.Context, st *Store, keywords, filterSpec string, opts query.Options, k int) (*Result, error) {
+	q, err := query.Parse(keywords, filterSpec)
+	if err != nil {
+		return nil, err
+	}
+	return st.Run(ctx, q, opts, k)
+}
+
 // waitJob polls until the job leaves the queued/indexing states.
 func waitJob(t *testing.T, s *Store, id string) Job {
 	t.Helper()
@@ -87,11 +97,15 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		}
 	}
 	for _, q := range []string{"alpha", "gamma", "xml fragment", "alpha|gamma retrieval"} {
-		sr, err := st.Search(context.Background(), q, "size<=3", query.Options{Auto: true}, 0)
+		sr, err := search(context.Background(), st, q, "size<=3", query.Options{Auto: true}, 0)
 		if err != nil {
 			t.Fatalf("store search %q: %v", q, err)
 		}
-		cr, err := coll.Search(q, "size<=3", query.Options{Auto: true})
+		pq, err := query.Parse(q, "size<=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := coll.RunContext(context.Background(), pq, query.Options{Auto: true})
 		if err != nil {
 			t.Fatalf("collection search %q: %v", q, err)
 		}
@@ -127,12 +141,12 @@ func TestTopKMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := st.Search(context.Background(), "alpha", "", query.Options{Auto: true}, 0)
+	full, err := search(context.Background(), st, "alpha", "", query.Options{Auto: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 7
-	topk, err := st.Search(context.Background(), "alpha", "", query.Options{Auto: true}, k)
+	topk, err := search(context.Background(), st, "alpha", "", query.Options{Auto: true}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +184,7 @@ func TestDeadlinePartialResults(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := st.Search(ctx, "alpha", "", query.Options{Auto: true}, 0)
+	res, err := search(ctx, st, "alpha", "", query.Options{Auto: true}, 0)
 	if err != nil {
 		t.Fatalf("expired-deadline search should degrade, got error %v", err)
 	}
@@ -238,7 +252,7 @@ func TestAsyncIngestAndRestartDurability(t *testing.T) {
 		t.Fatalf("remove %s failed", removedName)
 	}
 	wantNames := st.Names()
-	wantRes, err := st.Search(context.Background(), "alpha|gamma", "", query.Options{Auto: true}, 0)
+	wantRes, err := search(context.Background(), st, "alpha|gamma", "", query.Options{Auto: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +274,7 @@ func TestAsyncIngestAndRestartDurability(t *testing.T) {
 			t.Fatalf("names diverge at %d: %s vs %s", i, gotNames[i], n)
 		}
 	}
-	gotRes, err := st2.Search(context.Background(), "alpha|gamma", "", query.Options{Auto: true}, 0)
+	gotRes, err := search(context.Background(), st2, "alpha|gamma", "", query.Options{Auto: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +445,7 @@ func TestConcurrentAddRemoveSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := st.Search(context.Background(), "alpha", "", query.Options{Auto: true}, 10); err != nil {
+				if _, err := search(context.Background(), st, "alpha", "", query.Options{Auto: true}, 10); err != nil {
 					t.Errorf("search: %v", err)
 				}
 			}

@@ -151,7 +151,7 @@ func TestWALCrashRecovery(t *testing.T) {
 			if got := st3.Len(); got != good+1 {
 				t.Fatalf("third open: %d docs, want %d", got, good+1)
 			}
-			res, err := st3.Search(context.Background(), "post crash", "", query.Options{Auto: true}, 0)
+			res, err := search(context.Background(), st3, "post crash", "", query.Options{Auto: true}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ package xfrag_test
 // with global invariants asserted on every answer.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestScenarioSession(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ { // second round: determinism
 		for _, step := range session {
-			res, err := coll.Search(step.q, step.f, xfrag.Options{Auto: true})
+			res, err := xfrag.SearchContext(context.Background(), coll, step.q, step.f)
 			if err != nil {
 				t.Fatalf("%q/%q: %v", step.q, step.f, err)
 			}
@@ -90,23 +91,11 @@ func TestScenarioSession(t *testing.T) {
 		}
 	}
 
-	// Per-engine caching: repeat queries on one engine, verify hits.
-	eng := coll.Engine("figure1.xml")
-	eng.EnableCache(16)
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Query("xquery optimization", "size<=3", xfrag.Options{Auto: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if eng.CacheLen() != 1 {
-		t.Fatalf("cache len = %d", eng.CacheLen())
-	}
-
 	// Document removal mid-session.
 	if !coll.Remove("genre-b.xml") {
 		t.Fatal("remove failed")
 	}
-	res, err := coll.Search("topicalpha topicgamma", "size<=6", xfrag.Options{Auto: true})
+	res, err := xfrag.SearchContext(context.Background(), coll, "topicalpha topicgamma", "size<=6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +122,7 @@ func TestScenarioDeterministicOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	fingerprint := func() string {
-		res, err := coll.Search("xquery optimization", "size<=5", xfrag.Options{Auto: true})
+		res, err := xfrag.SearchContext(context.Background(), coll, "xquery optimization", "size<=5")
 		if err != nil {
 			t.Fatal(err)
 		}

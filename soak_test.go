@@ -5,6 +5,7 @@ package xfrag_test
 // Skipped under -short.
 
 import (
+	"context"
 	"testing"
 
 	xfrag "repro"
@@ -37,7 +38,7 @@ func TestSoakLargeDocument(t *testing.T) {
 		{"soakterma soaktermb", "size<=6,within=//section"},
 	}
 	for _, qc := range queries {
-		ans, err := eng.Query(qc.q, qc.f, xfrag.Options{Auto: true})
+		ans, err := xfrag.QueryContext(context.Background(), eng, qc.q, qc.f)
 		if err != nil {
 			t.Fatalf("%s / %s: %v", qc.q, qc.f, err)
 		}
@@ -67,11 +68,11 @@ func TestSoakLargeDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push, err := eng.Run(q, xfrag.Options{Strategy: xfrag.PushDown})
+	push, err := xfrag.RunContext(context.Background(), eng, q, xfrag.WithStrategy(xfrag.PushDown))
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := eng.Run(q, xfrag.Options{Strategy: xfrag.SetReduction})
+	red, err := xfrag.RunContext(context.Background(), eng, q, xfrag.WithStrategy(xfrag.SetReduction))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestSoakLargeDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(qBig, xfrag.Options{Strategy: xfrag.SetReduction}); err == nil {
+	if _, err := xfrag.RunContext(context.Background(), eng, qBig, xfrag.WithStrategy(xfrag.SetReduction)); err == nil {
 		t.Fatal("unfiltered strategy at frequency 12 should exceed the fragment budget")
 	}
 }

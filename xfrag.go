@@ -15,11 +15,16 @@
 //
 //	eng, err := xfrag.Load("article.xml")
 //	if err != nil { ... }
-//	ans, err := eng.Query("xquery optimization", "size<=3", xfrag.Options{Auto: true})
+//	ans, err := xfrag.QueryContext(ctx, eng, "xquery optimization", "size<=3")
 //	if err != nil { ... }
 //	for _, f := range ans.Fragments() {
 //		fmt.Println(f)
 //	}
+//
+// QueryContext (keyword and filter strings on one document),
+// RunContext (a prebuilt Query) and SearchContext (a Collection) are
+// the query entry points; each takes a context first, so deadlines and
+// cancellation reach the join loops.
 //
 // The package is a thin facade over the implementation packages:
 // internal/core (the fragment algebra), internal/xmltree (the document
@@ -197,8 +202,8 @@ type Canceled = query.Canceled
 // the partial Stats of a timed-out evaluation.
 func IsCanceled(err error) (*Canceled, bool) { return query.IsCanceled(err) }
 
-// QueryOption configures one evaluation made through the context-first
-// facade entry points QueryContext and RunContext. The zero
+// QueryOption configures one evaluation made through the facade entry
+// points QueryContext, RunContext and SearchContext. The zero
 // configuration picks the strategy automatically (Options.Auto), the
 // paper's cost-based choice.
 type QueryOption func(*queryConfig)
@@ -216,6 +221,15 @@ func newQueryConfig(options []QueryOption) queryConfig {
 	return cfg
 }
 
+// deadline applies WithTimeout to ctx; the returned cancel must run
+// when the evaluation is over.
+func (c queryConfig) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.timeout > 0 {
+		return context.WithTimeout(ctx, c.timeout)
+	}
+	return ctx, func() {}
+}
+
 // WithStrategy forces one evaluation strategy instead of the default
 // cost-based automatic choice.
 func WithStrategy(s Strategy) QueryOption {
@@ -223,12 +237,6 @@ func WithStrategy(s Strategy) QueryOption {
 		c.opts.Strategy = s
 		c.opts.Auto = false
 	}
-}
-
-// WithWorkers parallelizes the push-down strategy's joins across n
-// goroutines (n < 0 means GOMAXPROCS; 0 or 1 is sequential).
-func WithWorkers(n int) QueryOption {
-	return func(c *queryConfig) { c.opts.Workers = n }
 }
 
 // WithTrace records a per-operator span tree into the result.
@@ -265,24 +273,19 @@ func WithOptions(opts Options) QueryOption {
 //	ans, err := xfrag.QueryContext(ctx, eng, "xquery optimization", "size<=3",
 //		xfrag.WithTimeout(200*time.Millisecond))
 func QueryContext(ctx context.Context, e *Engine, keywords, filterSpec string, options ...QueryOption) (*Answer, error) {
-	cfg := newQueryConfig(options)
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
+	q, err := query.Parse(keywords, filterSpec)
+	if err != nil {
+		return nil, err
 	}
-	return e.QueryContext(ctx, keywords, filterSpec, cfg.opts)
+	return RunContext(ctx, e, q, options...)
 }
 
 // RunContext evaluates a prebuilt query on e under ctx; see
 // QueryContext for the cancellation semantics.
 func RunContext(ctx context.Context, e *Engine, q Query, options ...QueryOption) (*Answer, error) {
 	cfg := newQueryConfig(options)
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
+	ctx, cancel := cfg.deadline(ctx)
+	defer cancel()
 	return e.RunContext(ctx, q, cfg.opts)
 }
 
@@ -291,13 +294,14 @@ func RunContext(ctx context.Context, e *Engine, q Query, options ...QueryOption)
 // hits; unfinished ones land in CollectionResult.Errors, so a timed
 // out search degrades to partial results.
 func SearchContext(ctx context.Context, c *Collection, keywords, filterSpec string, options ...QueryOption) (*CollectionResult, error) {
-	cfg := newQueryConfig(options)
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
+	q, err := query.Parse(keywords, filterSpec)
+	if err != nil {
+		return nil, err
 	}
-	return c.SearchContext(ctx, keywords, filterSpec, cfg.opts)
+	cfg := newQueryConfig(options)
+	ctx, cancel := cfg.deadline(ctx)
+	defer cancel()
+	return c.RunContext(ctx, q, cfg.opts)
 }
 
 // HTTPConfig tunes the HTTP server's robustness knobs: per-request
@@ -306,9 +310,7 @@ func SearchContext(ctx context.Context, c *Collection, keywords, filterSpec stri
 type HTTPConfig = httpapi.Config
 
 // NewHTTPHandler returns an http.Handler serving the collection as a
-// JSON search API (see internal/httpapi for endpoints). Build against
-// the versioned /api/v1 routes; the un-versioned /api aliases are
-// deprecated.
+// JSON search API under /api/v1 (see internal/httpapi for endpoints).
 func NewHTTPHandler(c *Collection) http.Handler { return httpapi.New(c) }
 
 // NewHTTPHandlerWithConfig is NewHTTPHandler with explicit deadline

@@ -1,6 +1,7 @@
 package xfrag_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestFacadeRunningExample(t *testing.T) {
 	eng := xfrag.NewEngine(xfrag.FigureOneDocument())
-	ans, err := eng.Query("XQuery optimization", "size<=3", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "XQuery optimization", "size<=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func ExampleLoadString() {
 	if err != nil {
 		panic(err)
 	}
-	ans, err := eng.Query("root search", "size<=5", xfrag.Options{Auto: true})
+	ans, err := xfrag.QueryContext(context.Background(), eng, "root search", "size<=5")
 	if err != nil {
 		panic(err)
 	}
