@@ -170,8 +170,8 @@ func run() error {
 			st.Strategy, st.SeedSizes, st.FixedPointSizes, st.Candidates, st.Answers, st.Joins, st.Elapsed)
 		fmt.Printf("ops: pairwise=%d powerset=%d iterations=%d prunes=%d\n",
 			st.Ops.PairwiseJoins, st.Ops.PowersetExpansions, st.Ops.FixedPointIterations, st.Ops.FilterPrunes)
-		fmt.Printf("kernel: memo-hits=%d dedup-probes=%d\n",
-			st.Ops.JoinMemoHits, st.Ops.DedupProbes)
+		fmt.Printf("kernel: memo-hits=%d label-prunes=%d dedup-probes=%d\n",
+			st.Ops.JoinMemoHits, st.Ops.LabelPrunes, st.Ops.DedupProbes)
 	}
 	if *slca {
 		fmt.Printf("\nSLCA baseline: %v\n", eng.SLCA(*keywords))

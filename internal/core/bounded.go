@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/obs"
 )
 
 // ErrBudgetExceeded reports that an operation was aborted because its
@@ -27,6 +29,28 @@ func budgetError(op string, budget int) error {
 // re-joined across operators are served from the memo. The paper form
 // of each operator (PairwiseJoin, FixedPoint, …) is the same loop run
 // with no context, a fresh state and no budget.
+//
+// The filtered loops bound before they build: a pair whose join falls
+// outside the selection's Bounds is decided from the operands' labels
+// (Bounds.joinExceeds) and never materialised. It still counts as a
+// join and a filter prune — the counter totals are those of building
+// the join and filtering it — plus a label prune.
+
+// labelTally counts the pairs one loop rejected from labels and
+// charges them to the counters once, when the loop returns: mirrors
+// are the commutative twins a symmetric pass consumes without
+// recomputing (a memo hit each, as for built pairs).
+type labelTally struct{ pairs, mirrors uint64 }
+
+func (t *labelTally) flush(c *obs.EvalCounters) {
+	if t.pairs == 0 {
+		return
+	}
+	c.AddJoins(t.pairs + t.mirrors)
+	c.AddFilterPrunes(t.pairs + t.mirrors)
+	c.AddJoinMemoHits(t.mirrors)
+	c.AddLabelPrunes(t.pairs)
+}
 
 // symmetricSelfPass runs the F × F join pass exploiting commutativity:
 // each unordered pair is joined once and its mirror consumed again
@@ -36,20 +60,45 @@ func budgetError(op string, budget int) error {
 // When the evaluation state's pair memo is already populated (⊖ ran
 // first on the Theorem 1 path), the computed half is served from it
 // too; otherwise the memo map is bypassed entirely — frontier pairs
-// never repeat, so inserts would be pure overhead.
-func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, tick *int, consume func(Fragment) error) error {
+// never repeat, so inserts would be pure overhead. A pair the memo
+// cannot serve is checked against b from labels before it is built.
+func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, b Bounds, tally *labelTally, tick *int, consume func(Fragment) error) error {
 	c := st.Counters()
 	useMemo := st.MemoLen() > 0
+	bounded := b.Any()
 	for ai, a := range fs {
 		for bi := ai; bi < len(fs); bi++ {
 			if err := checkCtx(ctx, tick); err != nil {
 				return err
 			}
 			var j Fragment
+			hit := false
 			if useMemo {
-				j = st.JoinMemo(a, fs[bi])
-			} else {
+				j, hit = st.memoGet(a, fs[bi])
+			}
+			switch {
+			case hit && bounded && !b.Admits(j):
+				// Served from the memo but outside b: filtered like a
+				// built join, mirror included.
+				c.AddFilterPrunes(1)
+				if bi != ai {
+					c.AddJoins(1)
+					c.AddJoinMemoHits(1)
+					c.AddFilterPrunes(1)
+				}
+				continue
+			case hit:
+			case bounded && b.joinExceeds(a, fs[bi]):
+				tally.pairs++
+				if bi != ai {
+					tally.mirrors++
+				}
+				continue
+			default:
 				j = joinCounted(c, a, fs[bi])
+				if useMemo {
+					st.memoPut(a, fs[bi], j)
+				}
 			}
 			if err := consume(j); err != nil {
 				return err
@@ -67,22 +116,25 @@ func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, tick *
 }
 
 // PairwiseJoinBounded computes F1 ⋈ F2 (Definition 5), keeping only
-// the results pred accepts (nil pred keeps all), and aborts with
-// ErrBudgetExceeded once the result would exceed maxFragments. With an
-// anti-monotonic pred this is the push-down form licensed by Theorem 3:
-// σ_Pa(F1 ⋈ F2) = σ_Pa(σ_Pa(F1) ⋈ σ_Pa(F2)); callers filter the inputs
-// themselves and pass the same predicate here.
-func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
+// the results sel accepts (the zero Selection keeps all), and aborts
+// with ErrBudgetExceeded once the result would exceed maxFragments.
+// With an anti-monotonic selection this is the push-down form licensed
+// by Theorem 3: σ_Pa(F1 ⋈ F2) = σ_Pa(σ_Pa(F1) ⋈ σ_Pa(F2)); callers
+// filter the inputs themselves and pass the same selection here.
+func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, sel Selection, maxFragments int) (*Set, error) {
 	op := "pairwise join"
-	if pred != nil {
+	if !sel.IsZero() {
 		op = "filtered pairwise join"
 	}
 	c := st.Counters()
 	c.AddPairwiseJoins(1)
 	out := &Set{}
 	tick := 0
+	var tally labelTally
+	defer tally.flush(c)
+	keep := sel.Keep
 	consume := func(j Fragment) error {
-		if pred != nil && !pred(j) {
+		if keep != nil && !keep(j) {
 			c.AddFilterPrunes(1)
 			return nil
 		}
@@ -96,18 +148,23 @@ func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, pred f
 	// A self pairwise join (F ⋈ F) meets every unordered pair twice —
 	// (a,b) and (b,a) — so the symmetric pass computes each once.
 	if f1 == f2 {
-		if err := symmetricSelfPass(ctx, st, f1.frags, &tick, consume); err != nil {
+		if err := symmetricSelfPass(ctx, st, f1.frags, sel.Bounds, &tally, &tick, consume); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
 	// Distinct operands never repeat a pair: join directly, no memo.
+	b, bounded := sel.Bounds, sel.Bounds.Any()
 	for _, a := range f1.frags {
-		for _, b := range f2.frags {
+		for _, x := range f2.frags {
 			if err := checkCtx(ctx, &tick); err != nil {
 				return nil, err
 			}
-			if err := consume(joinCounted(c, a, b)); err != nil {
+			if bounded && b.joinExceeds(a, x) {
+				tally.pairs++
+				continue
+			}
+			if err := consume(joinCounted(c, a, x)); err != nil {
 				return nil, err
 			}
 		}
@@ -116,17 +173,16 @@ func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, pred f
 }
 
 // frontierClosure is the one semi-naive loop behind the self-join and
-// fixed-point family: starting from σ_pred(f) (nil pred keeps all), it
-// joins each iteration's newly discovered fragments against the base
-// set — older members have already met every element of it — keeping
-// the results pred accepts, until an iteration adds nothing or maxIter
-// iterations have run (0 means until empty). op labels the budget
-// error.
-func frontierClosure(ctx context.Context, st *EvalState, f *Set, pred func(Fragment) bool, maxIter, maxFragments int, op string) (*Set, error) {
+// fixed-point family: starting from σ_sel(f), it joins each
+// iteration's newly discovered fragments against the base set — older
+// members have already met every element of it — keeping the results
+// sel accepts, until an iteration adds nothing or maxIter iterations
+// have run (0 means until empty). op labels the budget error.
+func frontierClosure(ctx context.Context, st *EvalState, f *Set, sel Selection, maxIter, maxFragments int, op string) (*Set, error) {
 	c := st.Counters()
 	base := f
-	if pred != nil {
-		base = f.Select(pred)
+	if !sel.IsZero() {
+		base = f.Select(sel.Accepts)
 		c.AddFilterPrunes(uint64(f.Len() - base.Len()))
 	}
 	acc := base.Clone()
@@ -135,9 +191,12 @@ func frontierClosure(ctx context.Context, st *EvalState, f *Set, pred func(Fragm
 	}
 	frontier := base.Fragments()
 	tick := 0
+	var tally labelTally
+	defer tally.flush(c)
+	b, bounded, keep := sel.Bounds, sel.Bounds.Any(), sel.Keep
 	var next []Fragment // fragments first seen in the current iteration
 	consume := func(j Fragment) error {
-		if pred != nil && !pred(j) {
+		if keep != nil && !keep(j) {
 			c.AddFilterPrunes(1)
 			return nil
 		}
@@ -162,18 +221,22 @@ func frontierClosure(ctx context.Context, st *EvalState, f *Set, pred func(Fragm
 		// call, while routing it through a shared helper cost 5% on
 		// BenchmarkFilteredFixedPoint.
 		if iter == 0 {
-			if err := symmetricSelfPass(ctx, st, base.Fragments(), &tick, consume); err != nil {
+			if err := symmetricSelfPass(ctx, st, base.Fragments(), b, &tally, &tick, consume); err != nil {
 				return nil, err
 			}
 			frontier = next
 			continue
 		}
 		for _, a := range frontier {
-			for _, b := range base.Fragments() {
+			for _, x := range base.Fragments() {
 				if err := checkCtx(ctx, &tick); err != nil {
 					return nil, err
 				}
-				if err := consume(joinCounted(c, a, b)); err != nil {
+				if bounded && b.joinExceeds(a, x) {
+					tally.pairs++
+					continue
+				}
+				if err := consume(joinCounted(c, a, x)); err != nil {
 					return nil, err
 				}
 			}
@@ -196,7 +259,7 @@ func SelfJoinTimesBounded(ctx context.Context, st *EvalState, f *Set, n, maxFrag
 		}
 		return f.Clone(), nil
 	}
-	return frontierClosure(ctx, st, f, nil, n-1, maxFragments, "self join")
+	return frontierClosure(ctx, st, f, Selection{}, n-1, maxFragments, "self join")
 }
 
 // FixedPointBounded computes F⁺ with Theorem 1's iteration budget
@@ -216,12 +279,13 @@ func FixedPointBounded(ctx context.Context, st *EvalState, f *Set, maxFragments 
 // FixedPointNaiveBounded computes F⁺ with fixed-point checking and a
 // fragment budget.
 func FixedPointNaiveBounded(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
-	return frontierClosure(ctx, st, f, nil, 0, maxFragments, "fixed point")
+	return frontierClosure(ctx, st, f, Selection{}, 0, maxFragments, "fixed point")
 }
 
 // FilteredFixedPointBounded computes σ_Pa(F⁺) with push-down and a
-// fragment budget. With a selective anti-monotonic predicate the
-// budget is rarely hit — which is the paper's optimization story.
-func FilteredFixedPointBounded(ctx context.Context, st *EvalState, f *Set, pred func(Fragment) bool, maxFragments int) (*Set, error) {
-	return frontierClosure(ctx, st, f, pred, 0, maxFragments, "filtered fixed point")
+// fragment budget, Pa being the selection sel. With a selective
+// anti-monotonic selection the budget is rarely hit — which is the
+// paper's optimization story.
+func FilteredFixedPointBounded(ctx context.Context, st *EvalState, f *Set, sel Selection, maxFragments int) (*Set, error) {
+	return frontierClosure(ctx, st, f, sel, 0, maxFragments, "filtered fixed point")
 }

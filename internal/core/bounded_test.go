@@ -43,7 +43,7 @@ func TestBoundedVariantsAgreeWithUnbounded(t *testing.T) {
 		G := randomSet(t, rng, d, 1+rng.Intn(5), 3)
 		pred := func(f Fragment) bool { return f.Size() <= 4 }
 
-		pj, err := PairwiseJoinBounded(bg, NewEvalState(nil), F, G, nil, big)
+		pj, err := PairwiseJoinBounded(bg, NewEvalState(nil), F, G, Selection{}, big)
 		if err != nil || !pj.Equal(PairwiseJoin(F, G)) {
 			t.Fatalf("PairwiseJoinBounded mismatch (err=%v)", err)
 		}
@@ -55,11 +55,11 @@ func TestBoundedVariantsAgreeWithUnbounded(t *testing.T) {
 		if err != nil || !fpn.Equal(FixedPointNaive(F)) {
 			t.Fatalf("FixedPointNaiveBounded mismatch (err=%v)", err)
 		}
-		ffp, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, pred, big)
+		ffp, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, Selection{Keep: pred}, big)
 		if err != nil || !ffp.Equal(FilteredFixedPoint(F, pred)) {
 			t.Fatalf("FilteredFixedPointBounded mismatch (err=%v)", err)
 		}
-		pjf, err := PairwiseJoinBounded(bg, NewEvalState(nil), F, G, pred, big)
+		pjf, err := PairwiseJoinBounded(bg, NewEvalState(nil), F, G, Selection{Keep: pred}, big)
 		if err != nil || !pjf.Equal(PairwiseJoinFiltered(F, G, pred)) {
 			t.Fatalf("PairwiseJoinFilteredBounded mismatch (err=%v)", err)
 		}
@@ -78,16 +78,16 @@ func TestBoundedVariantsTrip(t *testing.T) {
 		t.Fatalf("self join must trip: %v", err)
 	}
 	G := FixedPointNaive(NewSet(F.At(0), F.At(1), F.At(2)))
-	if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), G, FixedPointNaive(F), nil, 50); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), G, FixedPointNaive(F), Selection{}, 50); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("pairwise join must trip: %v", err)
 	}
 	// An accept-all predicate makes the filtered variants equivalent
 	// to the plain ones — they must trip too.
 	all := func(Fragment) bool { return true }
-	if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, all, 100); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, Selection{Keep: all}, 100); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("filtered fixed point must trip: %v", err)
 	}
-	if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), G, G, all, 3); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), G, G, Selection{Keep: all}, 3); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("filtered pairwise join must trip: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestBoundedFilteredSurvivesWithSelectivePredicate(t *testing.T) {
 	// selective anti-monotonic filter — the push-down story.
 	F := scatteredSet(t, 12)
 	pred := func(f Fragment) bool { return f.Size() <= 2 }
-	got, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, pred, 100)
+	got, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, Selection{Keep: pred}, 100)
 	if err != nil {
 		t.Fatalf("selective filter must not trip: %v", err)
 	}

@@ -84,24 +84,41 @@ func (st *EvalState) JoinMemo(f1, f2 Fragment) Fragment {
 	if st == nil {
 		return Join(f1, f2)
 	}
+	if out, ok := st.memoGet(f1, f2); ok {
+		return out
+	}
+	out := joinCounted(st.counters, f1, f2)
+	st.memoPut(f1, f2, out)
+	return out
+}
+
+// memoGet serves f1 ⋈ f2 from the pair memo, counting a hit as a join
+// and a memo hit; ok is false on a miss, which counts nothing.
+func (st *EvalState) memoGet(f1, f2 Fragment) (out Fragment, ok bool) {
 	k := pairKey{f1.hash, f2.hash}
 	if k.h1 > k.h2 {
 		k.h1, k.h2 = k.h2, k.h1
 		f1, f2 = f2, f1
 	}
-	if e, ok := st.memo[k]; ok && sameFragment(e.a, f1) && sameFragment(e.b, f2) {
+	if e, hit := st.memo[k]; hit && sameFragment(e.a, f1) && sameFragment(e.b, f2) {
 		st.counters.AddJoins(1)
 		st.counters.AddJoinMemoHits(1)
-		return e.out
+		return e.out, true
 	}
-	out := joinCounted(st.counters, f1, f2)
+	return Fragment{}, false
+}
+
+// memoPut records out = f1 ⋈ f2 unless the memo is full.
+func (st *EvalState) memoPut(f1, f2, out Fragment) {
+	if f1.hash > f2.hash {
+		f1, f2 = f2, f1
+	}
 	if st.memo == nil {
 		st.memo = make(map[pairKey]memoEntry, 256)
 	}
 	if len(st.memo) < maxMemoEntries {
 		st.memo[pairKey{f1.hash, f2.hash}] = memoEntry{a: f1, b: f2, out: out}
 	}
-	return out
 }
 
 // sameFragment reports a and b denote the same fragment, fast-pathing

@@ -36,7 +36,7 @@ func FixedPointIterations(f *Set) int {
 // fragment discarded early could only have produced discardable
 // super-fragments, so nothing in the final selection is lost.
 func FilteredFixedPoint(f *Set, pred func(Fragment) bool) *Set {
-	return mustSet(FilteredFixedPointBounded(nil, NewEvalState(nil), f, pred, unbounded))
+	return mustSet(FilteredFixedPointBounded(nil, NewEvalState(nil), f, Selection{Keep: pred}, unbounded))
 }
 
 // Reduce computes the reduced set ⊖(F) (Definition 10): fragments

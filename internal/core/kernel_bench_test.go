@@ -140,7 +140,7 @@ func BenchmarkPairwiseJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := PairwiseJoinBounded(bg, NewEvalState(&c), f1, f2, nil, 1<<30); err != nil {
+				if _, err := PairwiseJoinBounded(bg, NewEvalState(&c), f1, f2, Selection{}, 1<<30); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -171,18 +171,31 @@ func BenchmarkFixedPoint(b *testing.B) {
 
 // BenchmarkFilteredFixedPoint measures the push-down closure — the
 // loop a join-heavy search spends its time in — on a 64-fragment seed
-// set.
+// set, under size ≤ 8 given two ways: opaque, a bare predicate, so
+// every pair is built and then asked; labels, the limit as Bounds (as
+// the query evaluator passes it), so over-limit pairs are rejected
+// from labels and never built.
 func BenchmarkFilteredFixedPoint(b *testing.B) {
 	d := benchDoc(b)
 	pred := func(f Fragment) bool { return f.Size() <= 8 }
 	rng := rand.New(rand.NewSource(8))
 	f := randomSet(b, rng, d, 64, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), f, pred, 1<<30); err != nil {
-			b.Fatal(err)
-		}
+	for _, v := range []struct {
+		name string
+		sel  Selection
+	}{
+		{"opaque", Selection{Keep: pred}},
+		{"labels", Selection{Bounds: Bounds{Size: 8}, Keep: pred}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), f, v.sel, 1<<30); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

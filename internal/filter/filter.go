@@ -57,25 +57,15 @@ const (
 // list. A zero field means "unbounded" for that dimension (no such
 // clause present). All limits come from anti-monotonic clauses, so a
 // fragment-set that provably violates one has a provably empty answer.
-type Bounds struct {
-	Size, Height, Depth, Width int
-}
-
-// Any reports whether at least one dimension is bounded.
-func (b Bounds) Any() bool {
-	return b.Size > 0 || b.Height > 0 || b.Depth > 0 || b.Width > 0
-}
-
-// Pairwise reports whether a dimension usable by the witness-pair
-// lower bounds (everything except Depth, which prunes per group) is
-// set.
-func (b Bounds) Pairwise() bool {
-	return b.Size > 0 || b.Height > 0 || b.Width > 0
-}
+// It is the join kernel's own bound type, so the limits a query pushes
+// reach the filtered join loops unchanged.
+type Bounds = core.Bounds
 
 // BoundsOf extracts the tightest limit per dimension from the given
 // clauses. Non-structural clauses (and clauses whose constructors
-// predate the Kind field) contribute nothing.
+// predate the Kind field) contribute nothing, and neither does a limit
+// below 1: Bounds reads 0 as unbounded, so such a clause has no Bounds
+// form (InBounds reports which clauses do).
 func BoundsOf(clauses ...Filter) Bounds {
 	var b Bounds
 	tighten := func(cur *int, limit int) {
@@ -84,6 +74,9 @@ func BoundsOf(clauses ...Filter) Bounds {
 		}
 	}
 	for _, f := range clauses {
+		if !f.InBounds() {
+			continue
+		}
 		switch f.Kind {
 		case BoundMaxSize:
 			tighten(&b.Size, f.Limit)
@@ -97,6 +90,10 @@ func BoundsOf(clauses ...Filter) Bounds {
 	}
 	return b
 }
+
+// InBounds reports whether f is a structural bound that BoundsOf
+// carries: a Bounds holding it decides f exactly, from labels.
+func (f Filter) InBounds() bool { return f.Kind != BoundNone && f.Limit > 0 }
 
 // evalRank orders clauses by expected evaluation cost: structural
 // bound checks (size/height/depth/width ≤ N) are O(1) label

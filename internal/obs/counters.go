@@ -25,6 +25,7 @@ type EvalCounters struct {
 	joinMemoHits  atomic.Uint64
 	dedupProbes   atomic.Uint64
 	postingPrunes atomic.Uint64
+	labelPrunes   atomic.Uint64
 }
 
 // AddJoins counts n fragment joins (Definition 4 applications).
@@ -95,6 +96,17 @@ func (c *EvalCounters) AddPostingPrunes(n uint64) {
 	}
 }
 
+// AddLabelPrunes counts n fragment joins a pushed structural bound
+// rejected from the operands' labels, before the join was built. Each
+// is also counted as a join and as a filter prune, so Joins −
+// JoinMemoHits − LabelPrunes is the number of joins actually built
+// (the bound-before-build kernel's savings, made visible).
+func (c *EvalCounters) AddLabelPrunes(n uint64) {
+	if c != nil {
+		c.labelPrunes.Add(n)
+	}
+}
+
 // Joins returns the fragment-join count (0 on a nil receiver).
 func (c *EvalCounters) Joins() uint64 {
 	if c == nil {
@@ -124,6 +136,7 @@ func (c *EvalCounters) Reset() {
 	c.joinMemoHits.Store(0)
 	c.dedupProbes.Store(0)
 	c.postingPrunes.Store(0)
+	c.labelPrunes.Store(0)
 }
 
 // Snapshot reads every counter at once. The reads are individually
@@ -141,6 +154,7 @@ func (c *EvalCounters) Snapshot() CounterSnapshot {
 		JoinMemoHits:         c.joinMemoHits.Load(),
 		DedupProbes:          c.dedupProbes.Load(),
 		PostingPrunes:        c.postingPrunes.Load(),
+		LabelPrunes:          c.labelPrunes.Load(),
 	}
 }
 
@@ -155,4 +169,5 @@ type CounterSnapshot struct {
 	JoinMemoHits         uint64 `json:"join_memo_hits"`
 	DedupProbes          uint64 `json:"dedup_probes"`
 	PostingPrunes        uint64 `json:"posting_prunes"`
+	LabelPrunes          uint64 `json:"label_prunes"`
 }

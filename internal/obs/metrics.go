@@ -25,6 +25,7 @@ const (
 	MPowersetExpansions   = "powerset_expansions_total"
 	MFixedPointIterations = "fixedpoint_iterations_total"
 	MFilterPrunes         = "filter_prunes_total"
+	MLabelPrunes          = "label_prunes_total"
 	MQuerySeconds         = "query_seconds"
 	MAnswerFragments      = "answer_fragments"
 	MHTTPRequests         = "http_requests_total"
@@ -342,6 +343,7 @@ func (m *Metrics) RecordEval(s CounterSnapshot, elapsed time.Duration, answers i
 	m.Counter(MPowersetExpansions).Add(s.PowersetExpansions)
 	m.Counter(MFixedPointIterations).Add(s.FixedPointIterations)
 	m.Counter(MFilterPrunes).Add(s.FilterPrunes)
+	m.Counter(MLabelPrunes).Add(s.LabelPrunes)
 	m.Counter(MPostingPrunes).Add(s.PostingPrunes)
 	m.Histogram(MQuerySeconds, LatencyBuckets).Observe(elapsed.Seconds())
 	m.Histogram(MAnswerFragments, SizeBuckets).Observe(float64(answers))

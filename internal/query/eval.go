@@ -486,7 +486,7 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 		joinStart := time.Now()
 		spJ := ctx.Span.Start("pairwise-join", "")
 		inL, inR := acc.Len(), next.Len()
-		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, nil, budget); err != nil {
+		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, core.Selection{}, budget); err != nil {
 			return nil, err
 		}
 		spJ.Finish(acc.Len(), inL, inR)
@@ -504,9 +504,10 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 // set-reduction strategy.
 func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budget int) (*core.Set, error) {
 	pushable := q.Pushable()
-	// Evaluate the pushed conjunction cheap-clauses-first; span labels
-	// keep the query's clause order via pushable.Name.
-	push := q.pushableFunc()
+	// Evaluate the pushed conjunction cheap-clauses-first, bounds from
+	// labels; span labels keep the query's clause order via
+	// pushable.Name.
+	push := q.pushSelection()
 	fpStart := time.Now()
 	sp := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(seeds[0].term, pushable.Name))
 	acc, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, seeds[0].set, push, budget)

@@ -238,16 +238,21 @@ func (q Query) predicateFunc() func(core.Fragment) bool {
 	return p.Apply
 }
 
-// pushableFunc is Pushable's predicate with the same cheap-first
-// clause ordering, for the filtered fixed points and joins of the
-// push-down strategy.
-func (q Query) pushableFunc() func(core.Fragment) bool {
-	var anti []filter.Filter
+// pushSelection is Pushable as the kernel's selection, for the
+// filtered fixed points and joins of the push-down strategy: the
+// structural limits as Bounds, so the join loops decide them from
+// labels before building a pair, and every other pushed clause
+// (cheap first) as Keep, asked only of the joins that are built.
+func (q Query) pushSelection() core.Selection {
+	var rest []filter.Filter
 	for _, f := range q.Filters {
-		if f.AntiMonotonic {
-			anti = append(anti, f)
+		if f.AntiMonotonic && !f.InBounds() {
+			rest = append(rest, f)
 		}
 	}
-	p := filter.And(filter.OrderCheapFirst(anti)...)
-	return p.Apply
+	sel := core.Selection{Bounds: q.PushBounds()}
+	if len(rest) > 0 {
+		sel.Keep = filter.And(filter.OrderCheapFirst(rest)...).Apply
+	}
+	return sel
 }
