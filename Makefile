@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFilter -fuzztime=30s ./internal/filter/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzDecodeSegment -fuzztime=30s ./internal/gindex/
+	$(GO) test -fuzz=FuzzQueryAuto -fuzztime=30s ./internal/query/
 
 # fuzz-smoke is the CI-sized run of the crash-path decoders: the WAL
 # frame decoder and the term-index segment decoder both parse bytes

@@ -172,6 +172,7 @@ func run() error {
 			st.Ops.PairwiseJoins, st.Ops.PowersetExpansions, st.Ops.FixedPointIterations, st.Ops.FilterPrunes)
 		fmt.Printf("kernel: memo-hits=%d label-prunes=%d dedup-probes=%d\n",
 			st.Ops.JoinMemoHits, st.Ops.LabelPrunes, st.Ops.DedupProbes)
+		fmt.Printf("enumerate: nodes=%d prunes=%d\n", st.Ops.EnumNodes, st.Ops.EnumPrunes)
 	}
 	if *slca {
 		fmt.Printf("\nSLCA baseline: %v\n", eng.SLCA(*keywords))

@@ -62,7 +62,7 @@ func TestCLIPaperQuery(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"4 fragment(s)", "⟨n16,n17,n18⟩", "SLCA baseline: [n17]", "strategy=push-down",
+		"4 fragment(s)", "⟨n16,n17,n18⟩", "SLCA baseline: [n17]", "strategy=enumerate", "joins=0", "enumerate: nodes=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)

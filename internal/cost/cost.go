@@ -175,8 +175,9 @@ func EliminableWitnesses(doc *xmltree.Document, ids []xmltree.NodeID) int {
 	return eliminated
 }
 
-// Strategy identifies one of the three evaluation strategies of
-// Section 4.
+// Strategy identifies an evaluation strategy: the paper's Section 4
+// strategies, plus the answer enumeration auto uses under a pushable
+// filter.
 type Strategy int
 
 const (
@@ -194,6 +195,12 @@ const (
 	// PushDown additionally pushes anti-monotonic selections below
 	// every join (Section 4.3, Theorem 3).
 	PushDown
+	// Enumerate produces the answer set directly as the closed witness
+	// sets (core.EnumerateAnswers) under the pushed selection. The
+	// evaluator chooses it under auto when a clause is anti-monotonic.
+	// ParseStrategy does not accept it: it is no CLI or HTTP strategy
+	// spelling.
+	Enumerate
 )
 
 // String names the strategy as in the paper's Section 4 headings.
@@ -207,6 +214,8 @@ func (s Strategy) String() string {
 		return "set-reduction"
 	case PushDown:
 		return "push-down"
+	case Enumerate:
+		return "enumerate"
 	default:
 		return "unknown"
 	}

@@ -111,6 +111,7 @@ func TestParseStrategy(t *testing.T) {
 		{name: "warp", wantErr: true},
 		{name: "Auto", wantErr: true},
 		{name: "naive-fixed-point", wantErr: true}, // Strategy.String's spelling is not an input
+		{name: "enumerate", wantErr: true},         // auto's enumeration is reported, never forced
 	} {
 		got, auto, err := ParseStrategy(tc.name)
 		if tc.wantErr {

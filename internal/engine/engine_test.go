@@ -159,7 +159,7 @@ func TestRenderAndWriteFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := ans.Render()
-	for _, want := range []string{"group 1", "⟨n16,n17,n18⟩", "overlapping:", "push-down", "4 fragment(s)"} {
+	for _, want := range []string{"group 1", "⟨n16,n17,n18⟩", "overlapping:", "strategy=enumerate", "4 fragment(s)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/docgen"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -25,8 +26,16 @@ func TestEngineRecordsMetrics(t *testing.T) {
 			t.Fatalf("%s count = %d, want %d", obs.MQuerySeconds, got, n)
 		}
 	}
+	// auto enumerates the answers under the pushable size<=3: it forms
+	// partial subtrees and executes no join.
+	if m.Counter(obs.MEnumNodes).Value() == 0 {
+		t.Fatalf("%s = 0, want > 0", obs.MEnumNodes)
+	}
+	if _, err := runQuery(e, "XQuery optimization", "size<=3", query.Options{Strategy: cost.PushDown}); err != nil {
+		t.Fatal(err)
+	}
 	if m.Counter(obs.MJoins).Value() == 0 {
-		t.Fatalf("%s = 0, want > 0", obs.MJoins)
+		t.Fatalf("%s = 0 after a push-down search, want > 0", obs.MJoins)
 	}
 }
 

@@ -53,21 +53,18 @@ const (
 	BoundMaxWidth
 )
 
-// Bounds aggregates the tightest posting-evaluable limits of a clause
-// list. A zero field means "unbounded" for that dimension (no such
-// clause present). All limits come from anti-monotonic clauses, so a
-// fragment-set that provably violates one has a provably empty answer.
-// It is the join kernel's own bound type, so the limits a query pushes
-// reach the filtered join loops unchanged.
-type Bounds = core.Bounds
-
 // BoundsOf extracts the tightest limit per dimension from the given
-// clauses. Non-structural clauses (and clauses whose constructors
-// predate the Kind field) contribute nothing, and neither does a limit
-// below 1: Bounds reads 0 as unbounded, so such a clause has no Bounds
-// form (InBounds reports which clauses do).
-func BoundsOf(clauses ...Filter) Bounds {
-	var b Bounds
+// clauses as the join kernel's core.Bounds, so the limits a query
+// pushes reach the filtered join loops unchanged. A zero field means
+// "unbounded" for that dimension (no such clause present). All limits
+// come from anti-monotonic clauses, so a fragment set that provably
+// violates one has a provably empty answer. Non-structural clauses
+// (and clauses whose constructors predate the Kind field) contribute
+// nothing, and neither does a limit below 1: core.Bounds reads 0 as
+// unbounded, so such a clause has no Bounds form (InBounds reports
+// which clauses do).
+func BoundsOf(clauses ...Filter) core.Bounds {
+	var b core.Bounds
 	tighten := func(cur *int, limit int) {
 		if *cur == 0 || limit < *cur {
 			*cur = limit
@@ -92,7 +89,7 @@ func BoundsOf(clauses ...Filter) Bounds {
 }
 
 // InBounds reports whether f is a structural bound that BoundsOf
-// carries: a Bounds holding it decides f exactly, from labels.
+// carries: a core.Bounds holding it decides f exactly, from labels.
 func (f Filter) InBounds() bool { return f.Kind != BoundNone && f.Limit > 0 }
 
 // evalRank orders clauses by expected evaluation cost: structural

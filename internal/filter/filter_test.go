@@ -336,14 +336,14 @@ func TestBoundsOf(t *testing.T) {
 	cases := []struct {
 		name    string
 		clauses []Filter
-		want    Bounds
+		want    core.Bounds
 	}{
-		{"none", nil, Bounds{}},
-		{"tightest wins", []Filter{MaxSize(5), MaxSize(3), MaxHeight(2)}, Bounds{Size: 3, Height: 2}},
-		{"all four", []Filter{MaxSize(4), MaxHeight(2), MaxDepth(6), MaxWidth(9)}, Bounds{Size: 4, Height: 2, Depth: 6, Width: 9}},
-		{"non-structural ignored", []Filter{MaxLeaves(2), HasKeyword("x"), MaxSize(3)}, Bounds{Size: 3}},
-		{"zero limit does not erase", []Filter{MaxSize(3), MaxSize(0), MaxHeight(0)}, Bounds{Size: 3}},
-		{"negative limit ignored", []Filter{MaxWidth(-1), MaxWidth(7)}, Bounds{Width: 7}},
+		{"none", nil, core.Bounds{}},
+		{"tightest wins", []Filter{MaxSize(5), MaxSize(3), MaxHeight(2)}, core.Bounds{Size: 3, Height: 2}},
+		{"all four", []Filter{MaxSize(4), MaxHeight(2), MaxDepth(6), MaxWidth(9)}, core.Bounds{Size: 4, Height: 2, Depth: 6, Width: 9}},
+		{"non-structural ignored", []Filter{MaxLeaves(2), HasKeyword("x"), MaxSize(3)}, core.Bounds{Size: 3}},
+		{"zero limit does not erase", []Filter{MaxSize(3), MaxSize(0), MaxHeight(0)}, core.Bounds{Size: 3}},
+		{"negative limit ignored", []Filter{MaxWidth(-1), MaxWidth(7)}, core.Bounds{Width: 7}},
 	}
 	for _, tc := range cases {
 		if got := BoundsOf(tc.clauses...); got != tc.want {
@@ -351,7 +351,7 @@ func TestBoundsOf(t *testing.T) {
 		}
 		// InBounds names exactly the clauses a Bounds carries.
 		for _, f := range tc.clauses {
-			if want := BoundsOf(f) != (Bounds{}); f.InBounds() != want {
+			if want := BoundsOf(f) != (core.Bounds{}); f.InBounds() != want {
 				t.Errorf("%s: %s.InBounds() = %v, want %v", tc.name, f, f.InBounds(), want)
 			}
 		}

@@ -5,6 +5,7 @@
 //
 //  1. Conjunction: an answer contains a witness for every term group,
 //     so a document missing any group entirely is out.
+//
 //  2. Label arithmetic (the push-down of Section 3.3 lifted to
 //     postings): any answer fragment is connected and contains one
 //     witness per group, hence for every group pair (wi, wj) it also
@@ -33,8 +34,8 @@ package gindex
 import (
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/filter"
 	"repro/internal/index"
 	"repro/internal/query"
 )
@@ -235,7 +236,7 @@ func minWitnessDepth(ws []witness) int {
 // answer can exist in the document. Each metric's minimum over pairs
 // is a valid lower bound for every answer independently, so the
 // minima may come from different pairs.
-func pairBoundsViolated(wi, wj []witness, b filter.Bounds) bool {
+func pairBoundsViolated(wi, wj []witness, b core.Bounds) bool {
 	const maxInt = int(^uint(0) >> 1)
 	minSize, minHeight, minWidth := maxInt, maxInt, maxInt
 	for _, a := range wi {

@@ -26,6 +26,16 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if q, ok := body[obs.MQueries].(float64); !ok || q < 1 {
 		t.Fatalf("%s = %v, want >= 1", obs.MQueries, body[obs.MQueries])
 	}
+	// The auto search enumerates its answers and joins nothing.
+	if n, ok := body[obs.MEnumNodes].(float64); !ok || n < 1 {
+		t.Fatalf("%s = %v, want >= 1", obs.MEnumNodes, body[obs.MEnumNodes])
+	}
+	if rec, _ := get(t, s, "/api/v1/search?q=XQuery+optimization&filter=size<=3&strategy=push-down"); rec.Code != http.StatusOK {
+		t.Fatalf("push-down search = %d", rec.Code)
+	}
+	if rec, body = get(t, s, "/api/v1/metrics"); rec.Code != http.StatusOK {
+		t.Fatalf("metrics = %d", rec.Code)
+	}
 	if j, ok := body[obs.MJoins].(float64); !ok || j < 1 {
 		t.Fatalf("%s = %v, want >= 1", obs.MJoins, body[obs.MJoins])
 	}
@@ -165,8 +175,9 @@ func TestExplainTrace(t *testing.T) {
 		"naive":         "naive-fixed-point",
 		"set-reduction": "set-reduction",
 		"push-down":     "push-down",
+		"auto":          "enumerate",
 	}
-	for _, strat := range []string{"brute-force", "naive", "set-reduction", "push-down"} {
+	for _, strat := range []string{"brute-force", "naive", "set-reduction", "push-down", "auto"} {
 		rec, body := get(t, s, "/api/v1/explain?q=XQuery+optimization&filter=size<=3&strategy="+strat+"&trace=1")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: code = %d (%v)", strat, rec.Code, body)
@@ -192,6 +203,11 @@ func TestExplainTrace(t *testing.T) {
 		stats := body["stats"].(map[string]any)["figure1.xml"].(map[string]any)
 		if stats["Answers"].(float64) != 4 {
 			t.Fatalf("%s: stats = %v", strat, stats)
+		}
+		// auto's enumeration reports its partial subtrees, not joins.
+		ops := stats["Ops"].(map[string]any)
+		if enumerated := ops["enum_nodes"].(float64) > 0; enumerated != (strat == "auto") || enumerated != (ops["joins"].(float64) == 0) {
+			t.Fatalf("%s: ops = %v", strat, ops)
 		}
 	}
 	// Without trace=1 the old shape is preserved.

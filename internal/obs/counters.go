@@ -26,6 +26,8 @@ type EvalCounters struct {
 	dedupProbes   atomic.Uint64
 	postingPrunes atomic.Uint64
 	labelPrunes   atomic.Uint64
+	enumNodes     atomic.Uint64
+	enumPrunes    atomic.Uint64
 }
 
 // AddJoins counts n fragment joins (Definition 4 applications).
@@ -107,6 +109,23 @@ func (c *EvalCounters) AddLabelPrunes(n uint64) {
 	}
 }
 
+// AddEnumNodes counts n partial subtrees the answer enumerator formed
+// (core.EnumerateAnswers): its unit of work, in place of joins.
+func (c *EvalCounters) AddEnumNodes(n uint64) {
+	if c != nil {
+		c.enumNodes.Add(n)
+	}
+}
+
+// AddEnumPrunes counts n partial subtrees the answer enumerator
+// rejected because they broke a pushed bound or failed a pushed
+// anti-monotonic clause. Each is also counted as an enum node.
+func (c *EvalCounters) AddEnumPrunes(n uint64) {
+	if c != nil {
+		c.enumPrunes.Add(n)
+	}
+}
+
 // Joins returns the fragment-join count (0 on a nil receiver).
 func (c *EvalCounters) Joins() uint64 {
 	if c == nil {
@@ -137,6 +156,8 @@ func (c *EvalCounters) Reset() {
 	c.dedupProbes.Store(0)
 	c.postingPrunes.Store(0)
 	c.labelPrunes.Store(0)
+	c.enumNodes.Store(0)
+	c.enumPrunes.Store(0)
 }
 
 // Snapshot reads every counter at once. The reads are individually
@@ -155,6 +176,8 @@ func (c *EvalCounters) Snapshot() CounterSnapshot {
 		DedupProbes:          c.dedupProbes.Load(),
 		PostingPrunes:        c.postingPrunes.Load(),
 		LabelPrunes:          c.labelPrunes.Load(),
+		EnumNodes:            c.enumNodes.Load(),
+		EnumPrunes:           c.enumPrunes.Load(),
 	}
 }
 
@@ -170,4 +193,6 @@ type CounterSnapshot struct {
 	DedupProbes          uint64 `json:"dedup_probes"`
 	PostingPrunes        uint64 `json:"posting_prunes"`
 	LabelPrunes          uint64 `json:"label_prunes"`
+	EnumNodes            uint64 `json:"enum_nodes"`
+	EnumPrunes           uint64 `json:"enum_prunes"`
 }

@@ -26,6 +26,8 @@ const (
 	MFixedPointIterations = "fixedpoint_iterations_total"
 	MFilterPrunes         = "filter_prunes_total"
 	MLabelPrunes          = "label_prunes_total"
+	MEnumNodes            = "enum_nodes_total"
+	MEnumPrunes           = "enum_prunes_total"
 	MQuerySeconds         = "query_seconds"
 	MAnswerFragments      = "answer_fragments"
 	MHTTPRequests         = "http_requests_total"
@@ -344,6 +346,8 @@ func (m *Metrics) RecordEval(s CounterSnapshot, elapsed time.Duration, answers i
 	m.Counter(MFixedPointIterations).Add(s.FixedPointIterations)
 	m.Counter(MFilterPrunes).Add(s.FilterPrunes)
 	m.Counter(MLabelPrunes).Add(s.LabelPrunes)
+	m.Counter(MEnumNodes).Add(s.EnumNodes)
+	m.Counter(MEnumPrunes).Add(s.EnumPrunes)
 	m.Counter(MPostingPrunes).Add(s.PostingPrunes)
 	m.Histogram(MQuerySeconds, LatencyBuckets).Observe(elapsed.Seconds())
 	m.Histogram(MAnswerFragments, SizeBuckets).Observe(float64(answers))

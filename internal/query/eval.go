@@ -80,8 +80,8 @@ type Stats struct {
 	// SeedSizes are |Fi| per query term, in term order.
 	SeedSizes []int
 	// FixedPointSizes are |Fi⁺| per term (or the filtered fixed-point
-	// sizes under push-down). Empty for brute force, which never forms
-	// fixed points.
+	// sizes under push-down). Empty for brute force and enumerate,
+	// which never form fixed points.
 	FixedPointSizes []int
 	// Candidates is the number of fragments materialized before the
 	// final selection.
@@ -90,7 +90,7 @@ type Stats struct {
 	Answers int
 	// Joins is the number of fragment joins executed by THIS
 	// evaluation (equal to Ops.Joins; kept as a field for existing
-	// callers).
+	// callers). Always 0 under enumerate, whose work is Ops.EnumNodes.
 	Joins uint64
 	// Ops holds every operator counter of this evaluation: joins,
 	// pairwise joins, powerset expansions, fixed-point iterations,
@@ -221,7 +221,6 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 			groups = append(groups, []string{t})
 		}
 	}
-	seeds := make([]seedRef, len(groups))
 	stats := Stats{SeedSizes: make([]int, len(groups))}
 	finish := func(answers *core.Set) Result {
 		stats.Answers = answers.Len()
@@ -245,17 +244,33 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 	if err := ctx.Err(); err != nil {
 		return Result{}, canceled(err)
 	}
+	// Theorem 3 and the closed-witness-set rule: with an anti-monotonic
+	// clause, auto enumerates the answers straight from the witness
+	// nodes, so it never builds the seed fragment sets the fixed-point
+	// strategies start from. More groups than the enumerator's masks
+	// hold leave it to push-down.
+	enumerate := opts.Auto && q.HasPushableFilter() && len(groups) <= core.MaxEnumerateGroups
+	nodes := make([][]xmltree.NodeID, len(groups))
+	var seeds []seedRef
+	if !enumerate {
+		seeds = make([]seedRef, len(groups))
+	}
 	seedStart := time.Now()
+	total := 0
 	for i, alts := range groups {
 		label := ""
 		if i < len(terms) {
 			label = terms[i]
 		}
 		sp := ec.Span.Start("seed", label)
-		seeds[i] = seedRef{set: core.NodeFragments(doc, seedNodes(x, alts)), term: label, group: i}
-		stats.SeedSizes[i] = seeds[i].set.Len()
-		sp.Finish(seeds[i].set.Len())
-		if seeds[i].set.Len() == 0 {
+		nodes[i] = seedNodes(x, alts)
+		if seeds != nil {
+			seeds[i] = seedRef{set: core.NodeFragments(doc, nodes[i]), term: label, group: i}
+		}
+		stats.SeedSizes[i] = len(nodes[i])
+		total += len(nodes[i])
+		sp.Finish(len(nodes[i]))
+		if len(nodes[i]) == 0 {
 			// Conjunctive semantics: a group with no witness in the
 			// document empties the answer.
 			stats.Stages.Add(obs.StageSelection, time.Since(seedStart))
@@ -279,14 +294,13 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 		if ch == (cost.Chooser{}) {
 			ch = cost.DefaultChooser()
 		}
-		total := 0
-		for _, r := range seeds {
-			total += r.set.Len()
-		}
 		switch {
+		case enumerate:
+			strategy = cost.Enumerate
 		case q.HasPushableFilter():
 			// Theorem 3: an anti-monotonic clause always makes
-			// push-down the right whole-query choice.
+			// push-down the right choice among the fixed-point
+			// strategies.
 			strategy = cost.PushDown
 		case total <= ch.BruteForceLimit:
 			// Brute-force feasibility is decided on the ACTUAL seed
@@ -312,14 +326,15 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 	// witness-pair lower bounds — any answer contains one witness per
 	// group plus both paths to their LCA — can prove the answer set
 	// empty straight from the seed nodes, before a single fragment
-	// join. It belongs to the push-down strategy only: the unpushed
-	// strategies stay faithful to their paper semantics, including
-	// refusing with a budget error where materialization is infeasible.
-	if strategy == cost.PushDown {
+	// join. It belongs to the strategies that push the selection only:
+	// the unpushed strategies stay faithful to their paper semantics,
+	// including refusing with a budget error where materialization is
+	// infeasible.
+	if strategy == cost.PushDown || strategy == cost.Enumerate {
 		if bounds := q.PushBounds(); bounds.Any() {
 			ppStart := time.Now()
 			sp := ec.Span.Start("posting-prune", "")
-			empty := seedsProveEmpty(doc, seeds, bounds, cost.DefaultPostingPrune())
+			empty := seedsProveEmpty(doc, nodes, bounds, cost.DefaultPostingPrune())
 			sp.Finish(boolToInt(empty))
 			stats.Stages.Add(obs.StageSelection, time.Since(ppStart))
 			if empty {
@@ -341,6 +356,8 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 		answers, err = evalFixedPoints(ec, ordered, q, &stats, budget, perSet)
 	case cost.PushDown:
 		answers, err = evalPushDown(ec, ordered, q, &stats, budget)
+	case cost.Enumerate:
+		answers, err = evalEnumerate(ec, doc, nodes, q, &stats, budget)
 	default:
 		err = fmt.Errorf("query: unknown strategy %v", strategy)
 	}
@@ -538,6 +555,24 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 	}
 	stats.Candidates = acc.Len()
 	return selectAnswers(ctx, q, acc, stats), nil
+}
+
+// evalEnumerate produces the answers as closed witness sets
+// (core.EnumerateAnswers): one bottom-up pass over the witness nodes'
+// ancestors under the pushed selection, with no fixed point and no
+// join; the whole selection runs last, as under push-down. The pass is
+// charged to the join stage, which it replaces.
+func evalEnumerate(ctx *EvalContext, doc *xmltree.Document, groups [][]xmltree.NodeID, q Query, stats *Stats, budget int) (*core.Set, error) {
+	start := time.Now()
+	sp := ctx.Span.Start("enumerate", q.Pushable().Name)
+	cands, err := core.EnumerateAnswers(ctx.Ctx, ctx.State, doc, groups, q.pushSelection(), budget)
+	if err != nil {
+		return nil, err
+	}
+	sp.Finish(cands.Len(), stats.SeedSizes...)
+	stats.Stages.Add(obs.StageJoin, time.Since(start))
+	stats.Candidates = cands.Len()
+	return selectAnswers(ctx, q, cands, stats), nil
 }
 
 // spanFilterDetail labels a push-down span with its term and pushed

@@ -244,11 +244,14 @@ func TestEvaluateAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Strategy != cost.PushDown {
-		t.Fatalf("auto with anti-monotonic filter chose %v, want push-down", res.Stats.Strategy)
+	if res.Stats.Strategy != cost.Enumerate {
+		t.Fatalf("auto with anti-monotonic filter chose %v, want enumerate", res.Stats.Strategy)
 	}
 	if res.Answers.Len() != 4 {
 		t.Fatalf("auto answers = %d, want 4", res.Answers.Len())
+	}
+	if res.Stats.Joins != 0 || res.Stats.Ops.EnumNodes == 0 {
+		t.Fatalf("auto enumeration counted %d joins and %d enum nodes, want 0 and > 0", res.Stats.Joins, res.Stats.Ops.EnumNodes)
 	}
 	// Without any filter, auto must not pick push-down... it may pick
 	// brute force on tiny seeds; just check it runs and agrees.

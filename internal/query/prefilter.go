@@ -3,16 +3,16 @@ package query
 import (
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/filter"
 	"repro/internal/xmltree"
 )
 
 const maxIntValue = int(^uint(0) >> 1)
 
-// seedsProveEmpty applies the witness-pair lower bounds to the seed
-// sets: every answer fragment is connected and contains one witness
-// per group, so for any pair of its witnesses (a, b) with LCA l it
-// also contains l and both root-ward paths, forcing
+// seedsProveEmpty applies the witness-pair lower bounds to the
+// groups' witness nodes: every answer fragment is connected and
+// contains one witness per group, so for any pair of its witnesses
+// (a, b) with LCA l it also contains l and both root-ward paths,
+// forcing
 //
 //	size    ≥ depth(a) + depth(b) − 2·depth(l) + 1
 //	height  ≥ max(depth(a), depth(b)) − depth(l)
@@ -26,12 +26,12 @@ const maxIntValue = int(^uint(0) >> 1)
 // O(1) LCA stands in for the Dewey common prefix (both compute the
 // same depths; the tree adds the LCA's node ID, tightening the width
 // bound). pp caps the per-pair work; infeasible pairs prune nothing.
-func seedsProveEmpty(doc *xmltree.Document, seeds []seedRef, b filter.Bounds, pp cost.PostingPrune) bool {
+func seedsProveEmpty(doc *xmltree.Document, groups [][]xmltree.NodeID, b core.Bounds, pp cost.PostingPrune) bool {
 	if b.Depth > 0 {
-		for _, s := range seeds {
+		for _, g := range groups {
 			minD := maxIntValue
-			for _, f := range s.set.Fragments() {
-				if d := doc.Depth(f.Root()); d < minD {
+			for _, id := range g {
+				if d := doc.Depth(id); d < minD {
 					minD = d
 				}
 			}
@@ -40,16 +40,15 @@ func seedsProveEmpty(doc *xmltree.Document, seeds []seedRef, b filter.Bounds, pp
 			}
 		}
 	}
-	if !b.Pairwise() || len(seeds) < 2 {
+	if !b.Pairwise() || len(groups) < 2 {
 		return false
 	}
-	for i := 0; i < len(seeds); i++ {
-		for j := i + 1; j < len(seeds); j++ {
-			wi, wj := seeds[i].set.Fragments(), seeds[j].set.Fragments()
-			if !pp.PairFeasible(len(wi), len(wj)) {
+	for i := 0; i < len(groups); i++ {
+		for j := i + 1; j < len(groups); j++ {
+			if !pp.PairFeasible(len(groups[i]), len(groups[j])) {
 				continue
 			}
-			if witnessPairViolated(doc, wi, wj, b) {
+			if witnessPairViolated(doc, groups[i], groups[j], b) {
 				return true
 			}
 		}
@@ -62,13 +61,11 @@ func seedsProveEmpty(doc *xmltree.Document, seeds []seedRef, b filter.Bounds, pp
 // pairs lower-bounds every answer independently (the answer's own
 // witness pair achieves at least the minimum), so the minima may come
 // from different pairs.
-func witnessPairViolated(doc *xmltree.Document, wi, wj []core.Fragment, b filter.Bounds) bool {
+func witnessPairViolated(doc *xmltree.Document, wi, wj []xmltree.NodeID, b core.Bounds) bool {
 	minSize, minHeight, minWidth := maxIntValue, maxIntValue, maxIntValue
-	for _, fa := range wi {
-		na := fa.Root()
+	for _, na := range wi {
 		da := doc.Depth(na)
-		for _, fc := range wj {
-			nc := fc.Root()
+		for _, nc := range wj {
 			dc := doc.Depth(nc)
 			l := doc.LCA(na, nc)
 			dl := doc.Depth(l)

@@ -1,7 +1,8 @@
 // Package query implements the paper's query model (Definitions 7–8)
 // and the three evaluation strategies of Section 4: brute force,
 // set reduction, and anti-monotonic push-down, plus the naive
-// fixed-point iteration of Section 3.1.1. A keyword query
+// fixed-point iteration of Section 3.1.1, and the answer enumeration
+// auto runs under a pushable filter. A keyword query
 // Q_P{k1,…,km} is answered by σ_P(F1 ⋈* … ⋈* Fm) where
 // Fi = σ_{keyword=ki}(nodes(D)); strategies differ only in how that
 // expression is evaluated, and all return the same answer set (a
@@ -200,7 +201,7 @@ func (q Query) Residual() filter.Filter {
 // anti-monotonic clauses (size/height/depth/width ≤ N), for the
 // posting-level pre-filters. Composite clauses (And/Or/Not results)
 // carry no bound and contribute nothing.
-func (q Query) PushBounds() filter.Bounds {
+func (q Query) PushBounds() core.Bounds {
 	return filter.BoundsOf(q.Filters...)
 }
 
