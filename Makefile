@@ -45,9 +45,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-json runs the kernel benchmarks (plus the join-heaviest
-# end-to-end workload, BenchmarkRFSweep, and the trace-overhead pair,
-# which gates the cost of the tracing plumbing on the push-down hot
-# path) and emits BENCH_core.json (ns/op, allocs/op, B/op, joins/op)
+# end-to-end workload, BenchmarkRFSweep, the ranker's full and top-k
+# cuts, and the trace-overhead pair, which gates the cost of the
+# tracing plumbing on the push-down hot path) and emits BENCH_core.json (ns/op, allocs/op, B/op, joins/op)
 # via cmd/benchjson. BENCHTIME trades precision for CI wall clock; the
 # RF sweep is pinned to a single iteration — one op is millions of
 # joins, and allocs/op (the hard-gated number) is deterministic at any
@@ -56,6 +56,7 @@ BENCHTIME ?= 1s
 bench-json:
 	( $(GO) test -run xxx -bench . -benchtime $(BENCHTIME) ./internal/core/ && \
 	  $(GO) test -run xxx -bench BenchmarkTraceOverhead -benchtime $(BENCHTIME) ./internal/query/ && \
+	  $(GO) test -run xxx -bench BenchmarkRank -benchtime $(BENCHTIME) ./internal/ranking/ && \
 	  $(GO) test -run xxx -bench BenchmarkPostingSelection -benchtime $(BENCHTIME) ./internal/gindex/ && \
 	  $(GO) test -run xxx -bench BenchmarkStandingDelta -benchtime $(BENCHTIME) ./internal/standing/ && \
 	  $(GO) test -run xxx -bench BenchmarkPlanChoose -benchtime $(BENCHTIME) ./internal/engine/ && \

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -325,8 +324,12 @@ type Hit struct {
 
 // Result is a merged collection search result.
 type Result struct {
-	// Hits in serving order (see BetterHit).
+	// Hits in serving order (see BetterHit), cut to the k best when
+	// the search asked for k.
 	Hits []Hit
+	// Total counts every answer of every document evaluated without
+	// error, before the cut to k.
+	Total int
 	// PerDocument maps document name → its evaluation statistics.
 	PerDocument map[string]query.Stats
 	// Errors maps document name → evaluation error (e.g. budget
@@ -342,17 +345,29 @@ type Result struct {
 // collection: RunContextOn with no allow-list. Parse keyword/filter
 // strings with query.Parse.
 func (c *Collection) RunContext(ctx context.Context, q query.Query, opts query.Options) (*Result, error) {
-	return c.RunContextOn(ctx, q, opts, nil)
+	return c.RunTopOn(ctx, q, opts, nil, 0)
 }
 
 // RunContextOn evaluates a prebuilt query on the documents named in
-// allow — the posting-first path: the store's global term index proves
-// most documents answerless and passes the survivors here. A nil allow
-// means no restriction (gindex.Candidates returns nil names exactly
-// when it could not restrict anything); a non-nil allow, even an empty
-// one, evaluates only the documents it names. Names keep the
-// collection's insertion order regardless of their order in allow;
-// unknown names are skipped (a candidate may race a concurrent Remove).
+// allow and returns every hit: RunTopOn with no cut.
+func (c *Collection) RunContextOn(ctx context.Context, q query.Query, opts query.Options, allow []string) (*Result, error) {
+	return c.RunTopOn(ctx, q, opts, allow, 0)
+}
+
+// RunTopOn evaluates a prebuilt query on the documents named in allow
+// — the posting-first path: the store's global term index proves most
+// documents answerless and passes the survivors here — and keeps the k
+// best hits in BetterHit order (k <= 0 keeps every hit). Each document
+// ranks only its k best answers and the collection keeps only the k
+// best of those, so no more than k hits per document are ever built;
+// Result.Total still counts every answer.
+//
+// A nil allow means no restriction (gindex.Candidates returns nil
+// names exactly when it could not restrict anything); a non-nil allow,
+// even an empty one, evaluates only the distinct documents it names.
+// Unknown names are skipped (a candidate may race a concurrent
+// Remove). The hit order does not depend on the order of allow, since
+// BetterHit is a total order.
 //
 // Evaluation runs on a bounded worker pool (see SetSearchWorkers)
 // instead of one goroutine per document. When ctx is cancelled or its
@@ -361,44 +376,40 @@ func (c *Collection) RunContext(ctx context.Context, q query.Query, opts query.O
 // (engine.RunContext), and both are reported in Result.Errors;
 // documents already evaluated keep their hits, so the caller gets
 // partial results rather than a hang.
-func (c *Collection) RunContextOn(ctx context.Context, q query.Query, opts query.Options, allow []string) (*Result, error) {
+func (c *Collection) RunTopOn(ctx context.Context, q query.Query, opts query.Options, allow []string, k int) (*Result, error) {
 	c.mu.RLock()
-	var names []string
+	names := allow
 	if allow == nil {
-		names = append([]string(nil), c.order...)
-	} else {
-		set := make(map[string]struct{}, len(allow))
-		for _, n := range allow {
-			set[n] = struct{}{}
-		}
-		names = make([]string, 0, len(allow))
-		for _, n := range c.order {
-			if _, ok := set[n]; ok {
-				names = append(names, n)
-			}
-		}
+		names = c.order
 	}
-	engines := make([]*engine.Engine, len(names))
-	for i, n := range names {
-		engines[i] = c.engines[n]
+	type target struct {
+		name string
+		eng  *engine.Engine
+	}
+	targets := make([]target, 0, len(names))
+	for _, n := range names {
+		if eng, ok := c.engines[n]; ok {
+			targets = append(targets, target{n, eng})
+		}
 	}
 	workers := c.workers
 	c.mu.RUnlock()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(names) {
-		workers = len(names)
+	if workers > len(targets) {
+		workers = len(targets)
 	}
+	terms := normalizedTerms(q)
 
 	type docResult struct {
-		name  string
 		stats query.Stats
 		hits  []Hit
+		total int
 		trace *obs.Span
 		err   error
 	}
-	results := make([]docResult, len(names))
+	results := make([]docResult, len(targets))
 	// parent is non-nil only on sampled requests: each document then
 	// gets a child span carrying its queue wait (time between search
 	// entry and worker pickup — the pool is bounded, so documents queue
@@ -417,16 +428,16 @@ func (c *Collection) RunContextOn(ctx context.Context, q query.Query, opts query
 			defer wg.Done()
 			for {
 				i := int(next.Add(1))
-				if i >= len(names) {
+				if i >= len(targets) {
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					results[i] = docResult{name: names[i], err: err}
+					results[i] = docResult{err: err}
 					continue
 				}
-				eng := engines[i]
+				name, eng := targets[i].name, targets[i].eng
 				docCtx := ctx
-				dsp := parent.Start("document", names[i])
+				dsp := parent.Start("document", name)
 				if dsp != nil {
 					dsp.SetAttr("queue_wait", time.Since(enqueued).String())
 					docCtx = obs.ContextWithSpan(ctx, dsp)
@@ -434,46 +445,56 @@ func (c *Collection) RunContextOn(ctx context.Context, q query.Query, opts query
 				ans, err := eng.RunContext(docCtx, q, opts)
 				if err != nil {
 					dsp.Finish(0)
-					results[i] = docResult{name: names[i], err: err}
+					results[i] = docResult{err: err}
 					continue
 				}
 				rankStart := time.Now()
 				rsp := dsp.Start("rank", "")
-				r := ranking.New(eng.Index(), normalizedTerms(q), ranking.DefaultWeights())
-				var hits []Hit
-				for _, s := range r.Rank(ans.Result.Answers) {
-					hits = append(hits, Hit{Document: names[i], Fragment: s.Fragment, Score: s.Score})
+				answers := ans.Result.Answers
+				scored := ranking.New(eng.Index(), terms, ranking.DefaultWeights()).Top(answers, k)
+				hits := make([]Hit, len(scored))
+				for j, s := range scored {
+					hits[j] = Hit{Document: name, Fragment: s.Fragment, Score: s.Score}
 				}
-				rsp.Finish(len(hits), ans.Result.Answers.Len())
+				rsp.Finish(len(hits), answers.Len())
 				c.metrics.ObserveStage(obs.StageRank, time.Since(rankStart))
 				stats := ans.Result.Stats
 				stats.Stages.Add(obs.StageRank, time.Since(rankStart))
 				dsp.Finish(len(hits))
-				results[i] = docResult{name: names[i], stats: stats, hits: hits, trace: ans.Result.Trace}
+				results[i] = docResult{stats: stats, hits: hits, total: answers.Len(), trace: ans.Result.Trace}
 			}
 		}()
 	}
 	wg.Wait()
 
-	out := &Result{PerDocument: make(map[string]query.Stats)}
+	out := &Result{PerDocument: make(map[string]query.Stats, len(targets))}
+	n := 0
 	for _, r := range results {
+		n += len(r.hits)
+	}
+	sel := ranking.NewTopK(k, n, BetterHit)
+	for i, r := range results {
+		name := targets[i].name
 		if r.err != nil {
 			if out.Errors == nil {
 				out.Errors = make(map[string]error)
 			}
-			out.Errors[r.name] = r.err
+			out.Errors[name] = r.err
 			continue
 		}
-		out.PerDocument[r.name] = r.stats
-		out.Hits = append(out.Hits, r.hits...)
+		out.PerDocument[name] = r.stats
+		out.Total += r.total
+		for _, h := range r.hits {
+			sel.Offer(h)
+		}
 		if r.trace != nil {
 			if out.Traces == nil {
 				out.Traces = make(map[string]*obs.Span)
 			}
-			out.Traces[r.name] = r.trace
+			out.Traces[name] = r.trace
 		}
 	}
-	sort.Slice(out.Hits, func(i, j int) bool { return BetterHit(out.Hits[i], out.Hits[j]) })
+	out.Hits = sel.Sorted()
 	return out, nil
 }
 
@@ -481,8 +502,8 @@ func (c *Collection) RunContextOn(ctx context.Context, q query.Query, opts query
 // ascending document name, then by the fragment's canonical order. It
 // is a strict total order over the distinct hits of a search, so the
 // merged list — and every limit/offset page cut from it, whether by a
-// full sort here or by the store's top-k heap — is the same whatever
-// order the hits arrived in.
+// document's, a shard's or the store's top-k cut — is the same
+// whatever order the hits arrived in.
 func BetterHit(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -494,7 +515,7 @@ func BetterHit(a, b Hit) bool {
 }
 
 // RankTerms flattens the query's groups into the plain terms the
-// ranker scores on — the exact term list RunContext uses, exported so an
+// ranker scores on — the exact term list RunTopOn uses, exported so an
 // external view maintainer (internal/standing) can reproduce the
 // collection's ranking byte for byte.
 func RankTerms(q query.Query) []string { return normalizedTerms(q) }

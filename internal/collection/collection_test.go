@@ -282,3 +282,58 @@ func TestSearchWorkerPoolEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunTopOnIsPrefix: RunTopOn with k keeps the first k hits of the
+// full list and the full Total; an allow-list evaluates the named
+// documents whatever their order, skipping unknown names.
+func TestRunTopOnIsPrefix(t *testing.T) {
+	c := testCollection(t)
+	for i := 0; i < 5; i++ {
+		if err := c.AddXML(fmt.Sprintf("tied-%d.xml", i), `<doc><sec><par>xquery</par><par>optimization</par></sec><sec><par>xquery optimization</par></sec></doc>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := query.Parse("xquery optimization", "size<=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	full, err := c.RunContext(ctx, q, query.Options{Auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Total != len(full.Hits) || full.Total < 10 {
+		t.Fatalf("full search: total %d, %d hits", full.Total, len(full.Hits))
+	}
+	for k := 1; k <= full.Total+1; k++ {
+		top, err := c.RunTopOn(ctx, q, query.Options{Auto: true}, nil, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top.Total != full.Total || len(top.Hits) != min(k, full.Total) {
+			t.Fatalf("k=%d: total %d with %d hits, want %d with %d", k, top.Total, len(top.Hits), full.Total, min(k, full.Total))
+		}
+		for i, h := range top.Hits {
+			if f := full.Hits[i]; h.Document != f.Document || !h.Fragment.Equal(f.Fragment) || h.Score != f.Score {
+				t.Fatalf("k=%d hit %d: %s %v, full list has %s %v", k, i, h.Document, h.Fragment, f.Document, f.Fragment)
+			}
+		}
+	}
+	names := c.Names()
+	reversed := []string{"no-such.xml"}
+	for i := len(names) - 1; i >= 0; i-- {
+		reversed = append(reversed, names[i])
+	}
+	got, err := c.RunContextOn(ctx, q, query.Options{Auto: true}, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total != full.Total || len(got.PerDocument) != len(names) {
+		t.Fatalf("reversed allow-list: total %d over %d documents, want %d over %d", got.Total, len(got.PerDocument), full.Total, len(names))
+	}
+	for i, h := range got.Hits {
+		if f := full.Hits[i]; h.Document != f.Document || !h.Fragment.Equal(f.Fragment) {
+			t.Fatalf("reversed allow-list hit %d: %s %v, want %s %v", i, h.Document, h.Fragment, f.Document, f.Fragment)
+		}
+	}
+}

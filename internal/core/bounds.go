@@ -25,6 +25,70 @@ func (b Bounds) Pairwise() bool {
 	return b.Size > 0 || b.Height > 0 || b.Width > 0
 }
 
+// PairBound is the witness-pair lower bound of one group pair, the
+// test the posting pre-filters (query's tree form, gindex's Dewey
+// form) share. Any answer is connected and holds one witness a of the
+// first group and one witness b of the second, hence their LCA l and
+// both root-ward paths, which forces
+//
+//	size   ≥ depth(a) + depth(b) − 2·depth(l) + 1
+//	height ≥ max(depth(a), depth(b)) − depth(l)
+//	width  ≥ the pair's pre-order span
+//
+// Each measure's minimum over all witness pairs lower-bounds every
+// answer independently, so the group pair proves the document empty
+// exactly when some bounded minimum exceeds its bound. A minimum fits
+// once one pair fits, so the test stops as soon as every bounded
+// dimension has fitted some pair instead of scanning all |Wi|×|Wj|
+// pairs.
+type PairBound struct {
+	b    Bounds
+	open uint8 // bounded dimensions no pair has fitted yet
+}
+
+const (
+	pairSize uint8 = 1 << iota
+	pairHeight
+	pairWidth
+)
+
+// PairBound starts the witness-pair lower bound of one group pair.
+func (b Bounds) PairBound() PairBound {
+	p := PairBound{b: b}
+	if b.Size > 0 {
+		p.open |= pairSize
+	}
+	if b.Height > 0 {
+		p.open |= pairHeight
+	}
+	if b.Width > 0 {
+		p.open |= pairWidth
+	}
+	return p
+}
+
+// Fit folds in one witness pair — depths da and db, LCA depth dl and
+// the pre-order span, which the caller computes (the tree knows the
+// LCA's ID, Dewey labels do not) — and reports whether every bounded
+// dimension has now fitted a pair, after which no further pair can
+// change the verdict.
+func (p *PairBound) Fit(da, db, dl, span int) bool {
+	if p.open&pairSize != 0 && da+db-2*dl+1 <= p.b.Size {
+		p.open &^= pairSize
+	}
+	if p.open&pairHeight != 0 && max(da, db)-dl <= p.b.Height {
+		p.open &^= pairHeight
+	}
+	if p.open&pairWidth != 0 && span <= p.b.Width {
+		p.open &^= pairWidth
+	}
+	return p.open == 0
+}
+
+// Violated reports whether some bounded dimension fitted no pair: no
+// answer can hold a witness of each group.
+func (p PairBound) Violated() bool { return p.open != 0 }
+
 // Admits reports whether f is within every bounded dimension.
 func (b Bounds) Admits(f Fragment) bool {
 	if b.Size > 0 && f.Size() > b.Size {

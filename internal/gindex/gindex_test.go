@@ -3,13 +3,16 @@ package gindex
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/docgen"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/query"
@@ -411,5 +414,63 @@ func TestPutReplacesAndIDsNeverReused(t *testing.T) {
 	}
 	if !sh.Has("doc.xml", HashDoc(v2)) || sh.Has("doc.xml", HashDoc(v1)) {
 		t.Fatal("Has does not reflect the replacement")
+	}
+}
+
+// exhaustivePairBoundsViolated is the Dewey witness-pair bound in its
+// exhaustive form: each measure's minimum over all pairs, then the
+// verdict.
+func exhaustivePairBoundsViolated(wi, wj []witness, b core.Bounds) bool {
+	const maxInt = int(^uint(0) >> 1)
+	minSize, minHeight, minWidth := maxInt, maxInt, maxInt
+	for _, a := range wi {
+		for _, c := range wj {
+			da, dc := len(a.post.Dewey), len(c.post.Dewey)
+			cpl := commonPrefixLen(a.post.Dewey, c.post.Dewey)
+			minSize = min(minSize, da+dc-2*cpl+1)
+			minHeight = min(minHeight, max(da, dc)-cpl)
+			w := int(a.post.Node) - int(c.post.Node)
+			minWidth = min(minWidth, max(w, -w))
+		}
+	}
+	return b.Size > 0 && minSize > b.Size ||
+		b.Height > 0 && minHeight > b.Height ||
+		b.Width > 0 && minWidth > b.Width
+}
+
+// TestPairBoundsMatchExhaustive: the early-exit Dewey bound gives the
+// exhaustive verdict on random trees, witness sets and bounds.
+func TestPairBoundsMatchExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	witnesses := func(d *xmltree.Document) []witness {
+		var ws []witness
+		for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+			id := xmltree.NodeID(rng.Intn(d.Len()))
+			ws = append(ws, witness{post: Posting{Node: id, Dewey: d.Dewey(id)}})
+		}
+		return dedupeWitnesses(ws)
+	}
+	verdicts := map[bool]int{}
+	for c := 0; c < 3000; c++ {
+		d, err := docgen.Generate(docgen.Config{
+			Seed: rng.Int63(), Sections: 1 + rng.Intn(4), MeanFanout: 1 + rng.Intn(4),
+			Depth: 1 + rng.Intn(4), VocabSize: 10, ParLength: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wi, wj := witnesses(d), witnesses(d)
+		b := core.Bounds{Size: rng.Intn(7), Height: rng.Intn(4), Width: rng.Intn(12)}
+		if !b.Pairwise() {
+			continue
+		}
+		got, want := pairBoundsViolated(wi, wj, b), exhaustivePairBoundsViolated(wi, wj, b)
+		if got != want {
+			t.Fatalf("case %d under %+v: violated %v, exhaustive %v", c, b, got, want)
+		}
+		verdicts[got]++
+	}
+	if verdicts[true] < 100 || verdicts[false] < 100 {
+		t.Fatalf("verdicts %v: the generator does not exercise both outcomes", verdicts)
 	}
 }

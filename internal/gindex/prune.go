@@ -232,47 +232,25 @@ func minWitnessDepth(ws []witness) int {
 }
 
 // pairBoundsViolated reports whether EVERY witness pair of the two
-// groups violates some pushed bound — the condition under which no
-// answer can exist in the document. Each metric's minimum over pairs
-// is a valid lower bound for every answer independently, so the
-// minima may come from different pairs.
+// groups violates some pushed bound (core.PairBound) — the condition
+// under which no answer can exist in the document. The Dewey labels
+// give the depths and the LCA depth (their common prefix); the span is
+// the witnesses' ID distance.
 func pairBoundsViolated(wi, wj []witness, b core.Bounds) bool {
-	const maxInt = int(^uint(0) >> 1)
-	minSize, minHeight, minWidth := maxInt, maxInt, maxInt
+	pb := b.PairBound()
 	for _, a := range wi {
 		da := len(a.post.Dewey)
 		for _, c := range wj {
-			dc := len(c.post.Dewey)
-			cpl := commonPrefixLen(a.post.Dewey, c.post.Dewey)
-			if s := da + dc - 2*cpl + 1; s < minSize {
-				minSize = s
+			span := int(a.post.Node) - int(c.post.Node)
+			if span < 0 {
+				span = -span
 			}
-			h := da
-			if dc > h {
-				h = dc
-			}
-			if h -= cpl; h < minHeight {
-				minHeight = h
-			}
-			w := int(a.post.Node) - int(c.post.Node)
-			if w < 0 {
-				w = -w
-			}
-			if w < minWidth {
-				minWidth = w
+			if pb.Fit(da, len(c.post.Dewey), commonPrefixLen(a.post.Dewey, c.post.Dewey), span) {
+				return false
 			}
 		}
 	}
-	if b.Size > 0 && minSize > b.Size {
-		return true
-	}
-	if b.Height > 0 && minHeight > b.Height {
-		return true
-	}
-	if b.Width > 0 && minWidth > b.Width {
-		return true
-	}
-	return false
+	return pb.Violated()
 }
 
 func commonPrefixLen(a, b []int32) int {

@@ -704,12 +704,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		hits, errs, resp.Total = res.Hits, res.Errors, res.Total
 	} else {
-		res, err := s.coll.RunContext(ctx, q, opts)
+		res, err := s.coll.RunTopOn(ctx, q, opts, nil, offset+limit)
 		if err != nil {
 			s.error(w, http.StatusBadRequest, "bad_request", err)
 			return
 		}
-		hits, errs, resp.Total = res.Hits, res.Errors, len(res.Hits)
+		hits, errs, resp.Total = res.Hits, res.Errors, res.Total
 	}
 	if offset < len(hits) {
 		hits = hits[offset:]

@@ -57,47 +57,20 @@ func seedsProveEmpty(doc *xmltree.Document, groups [][]xmltree.NodeID, b core.Bo
 }
 
 // witnessPairViolated reports whether every witness pair across the
-// two groups violates some pushed bound. Each metric's minimum over
-// pairs lower-bounds every answer independently (the answer's own
-// witness pair achieves at least the minimum), so the minima may come
-// from different pairs.
+// two groups violates some pushed bound (core.PairBound), with the
+// tree's O(1) LCA; the span runs from the LCA to the later witness.
 func witnessPairViolated(doc *xmltree.Document, wi, wj []xmltree.NodeID, b core.Bounds) bool {
-	minSize, minHeight, minWidth := maxIntValue, maxIntValue, maxIntValue
+	pb := b.PairBound()
 	for _, na := range wi {
 		da := doc.Depth(na)
 		for _, nc := range wj {
-			dc := doc.Depth(nc)
 			l := doc.LCA(na, nc)
-			dl := doc.Depth(l)
-			if s := da + dc - 2*dl + 1; s < minSize {
-				minSize = s
-			}
-			h := da
-			if dc > h {
-				h = dc
-			}
-			if h -= dl; h < minHeight {
-				minHeight = h
-			}
-			hi := na
-			if nc > hi {
-				hi = nc
-			}
-			if w := int(hi - l); w < minWidth {
-				minWidth = w
+			if pb.Fit(da, doc.Depth(nc), doc.Depth(l), int(max(na, nc)-l)) {
+				return false
 			}
 		}
 	}
-	if b.Size > 0 && minSize > b.Size {
-		return true
-	}
-	if b.Height > 0 && minHeight > b.Height {
-		return true
-	}
-	if b.Width > 0 && minWidth > b.Width {
-		return true
-	}
-	return false
+	return pb.Violated()
 }
 
 func boolToInt(b bool) int {

@@ -10,7 +10,7 @@ package ranking
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -46,78 +46,92 @@ type Scored struct {
 
 // Ranker scores fragments of one indexed document.
 type Ranker struct {
-	idx     *index.Index
+	doc     *xmltree.Document
 	weights Weights
-	// idf per query term, computed once per ranker.
-	idf map[string]float64
+	// The query terms that occur in the document, in query-term order,
+	// with each one's IDF and sorted posting list: Score sums the terms
+	// in this fixed order, so a fragment's score is the same bits on
+	// every call.
+	idf      []float64
+	postings [][]xmltree.NodeID
 }
 
 // New builds a ranker for the document behind idx, for the given
-// (normalized) query terms.
+// (normalized) query terms. A repeated term counts once.
 func New(idx *index.Index, terms []string, w Weights) *Ranker {
 	if w.SizeDecay <= 0 || w.SizeDecay > 1 {
 		w = DefaultWeights()
 	}
-	r := &Ranker{idx: idx, weights: w, idf: make(map[string]float64, len(terms))}
-	n := float64(idx.Document().Len())
-	for _, t := range terms {
-		df := float64(len(idx.LookupExact(t)))
-		if df == 0 {
-			df = 1
+	r := &Ranker{doc: idx.Document(), weights: w}
+	n := float64(r.doc.Len())
+	for i, t := range terms {
+		if slices.Contains(terms[:i], t) {
+			continue
+		}
+		post := idx.LookupExact(t)
+		if len(post) == 0 {
+			// A term no node carries adds idf·0 to every score.
+			continue
 		}
 		// Standard smoothed IDF over nodes-as-documents.
-		r.idf[t] = math.Log(1 + n/df)
+		r.idf = append(r.idf, math.Log(1+n/float64(len(post))))
+		r.postings = append(r.postings, post)
 	}
 	return r
 }
 
 // Score computes the fragment's relevance score: for each query term,
 // the IDF-weighted count of member nodes carrying it (leaves boosted),
-// damped by fragment size and boosted by root depth.
+// damped by fragment size and boosted by root depth. It allocates
+// nothing: membership is a binary search in the term's posting list,
+// and a member is a leaf exactly when the next member (IDs are in
+// pre-order) lies outside its subtree.
 func (r *Ranker) Score(f core.Fragment) float64 {
-	doc := r.idx.Document()
-	leaves := make(map[xmltree.NodeID]bool)
-	for _, id := range f.Leaves() {
-		leaves[id] = true
-	}
+	ids := f.IDs()
 	score := 0.0
-	for term, idf := range r.idf {
+	for t, post := range r.postings {
 		termScore := 0.0
-		for _, id := range f.IDs() {
-			if !doc.HasKeyword(id, term) {
+		lo := 0
+		for i, id := range ids {
+			j, ok := slices.BinarySearch(post[lo:], id)
+			lo += j
+			if !ok {
 				continue
 			}
 			w := 1.0
-			if leaves[id] {
+			if i == len(ids)-1 || ids[i+1] > r.doc.SubtreeEnd(id) {
 				w = r.weights.LeafBonus
 			}
 			termScore += w
 		}
-		score += idf * termScore
+		score += r.idf[t] * termScore
 	}
 	score *= math.Pow(r.weights.SizeDecay, float64(f.Size()-1))
-	score *= 1 + r.weights.DepthBonus*float64(doc.Depth(f.Root()))
+	score *= 1 + r.weights.DepthBonus*float64(r.doc.Depth(f.Root()))
 	return score
 }
 
-// Rank scores every fragment of the answer set and returns them in
-// descending score order (ties broken by the canonical fragment
-// order, so ranking is deterministic).
-func (r *Ranker) Rank(answers *core.Set) []Scored {
-	out := make([]Scored, 0, answers.Len())
-	for _, f := range answers.Sorted() {
-		out = append(out, Scored{Fragment: f, Score: r.Score(f)})
+// better is Rank's order: descending score, ties broken by the
+// canonical fragment order, so ranking is deterministic.
+func better(a, b Scored) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	return out
+	return core.LessFragments(a.Fragment, b.Fragment)
 }
 
-// Top returns the k highest-scored answers (all if k exceeds the
-// answer count).
+// Rank scores every fragment of the answer set and returns them in
+// descending score order, ties broken by the canonical fragment order:
+// Top(answers, 0).
+func (r *Ranker) Rank(answers *core.Set) []Scored { return r.Top(answers, 0) }
+
+// Top returns the k best answers in Rank's order — exactly
+// Rank(answers)[:k] — keeping only k of them while it scores the rest.
+// k <= 0, or k at least the answer count, returns every answer.
 func (r *Ranker) Top(answers *core.Set, k int) []Scored {
-	ranked := r.Rank(answers)
-	if k < len(ranked) {
-		ranked = ranked[:k]
+	sel := NewTopK(k, answers.Len(), better)
+	for _, f := range answers.Fragments() {
+		sel.Offer(Scored{Fragment: f, Score: r.Score(f)})
 	}
-	return ranked
+	return sel.Sorted()
 }

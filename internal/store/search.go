@@ -1,9 +1,7 @@
 package store
 
 import (
-	"container/heap"
 	"context"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/ranking"
 )
 
 // Result is a merged store-wide search result: the global top-k hits
@@ -20,7 +19,8 @@ type Result struct {
 	// Hits in serving order (collection.BetterHit), capped at the
 	// requested k.
 	Hits []collection.Hit
-	// Total counts every hit across the store, before the top-k cap.
+	// Total counts every answer across the store, before the top-k
+	// cap: the sum of the shards' totals.
 	Total int
 	// PerDocument maps document name → its evaluation statistics.
 	PerDocument map[string]query.Stats
@@ -37,10 +37,10 @@ type Result struct {
 
 // Run scatter-gathers a prebuilt query: every shard evaluates
 // concurrently under ctx (each with its bounded per-document worker
-// pool), and the per-shard ranked lists merge through a global top-k
-// heap — O(total·log k) instead of sorting the full concatenation.
-// k caps the merged hit list (k <= 0 keeps every hit). Parse
-// keyword/filter strings with query.Parse.
+// pool) and returns at most its k best hits, and the per-shard lists
+// merge through a global top-k heap — at most shards·k hits, never
+// the full answer set. k caps the merged hit list (k <= 0 keeps every
+// hit). Parse keyword/filter strings with query.Parse.
 func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k int) (*Result, error) {
 	shardResults := make([]*collection.Result, len(s.shards))
 	shardErrs := make([]error, len(s.shards))
@@ -88,7 +88,7 @@ func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k in
 					allow = cand.Names
 				}
 			}
-			shardResults[i], shardErrs[i] = sh.RunContextOn(shardCtx, q, shardOpts, allow)
+			shardResults[i], shardErrs[i] = sh.RunTopOn(shardCtx, q, shardOpts, allow, k)
 			hits := 0
 			if shardResults[i] != nil {
 				hits = len(shardResults[i].Hits)
@@ -107,7 +107,11 @@ func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k in
 	mergeStart := time.Now()
 	msp := parent.Start("merge", "")
 	out := &Result{PerDocument: make(map[string]query.Stats)}
-	h := &hitHeap{}
+	n := 0
+	for _, sr := range shardResults {
+		n += len(sr.Hits)
+	}
+	sel := ranking.NewTopK(k, n, collection.BetterHit)
 	for _, sr := range shardResults {
 		for name, st := range sr.PerDocument {
 			out.PerDocument[name] = st
@@ -124,30 +128,12 @@ func (s *Store) Run(ctx context.Context, q query.Query, opts query.Options, k in
 			}
 			out.Traces[name] = sp
 		}
-		out.Total += len(sr.Hits)
-		if k <= 0 {
-			out.Hits = append(out.Hits, sr.Hits...)
-			continue
-		}
+		out.Total += sr.Total
 		for _, hit := range sr.Hits {
-			if h.Len() < k {
-				heap.Push(h, hit)
-				continue
-			}
-			if collection.BetterHit(hit, (*h)[0]) {
-				(*h)[0] = hit
-				heap.Fix(h, 0)
-			}
+			sel.Offer(hit)
 		}
 	}
-	if k <= 0 {
-		sort.Slice(out.Hits, func(i, j int) bool { return collection.BetterHit(out.Hits[i], out.Hits[j]) })
-	} else {
-		out.Hits = make([]collection.Hit, h.Len())
-		for i := h.Len() - 1; i >= 0; i-- {
-			out.Hits[i] = heap.Pop(h).(collection.Hit)
-		}
-	}
+	out.Hits = sel.Sorted()
 	msp.Finish(len(out.Hits))
 	s.metrics.ObserveStage(obs.StageMerge, time.Since(mergeStart))
 	if ctx.Err() != nil {
@@ -169,22 +155,4 @@ func (s *Store) observeShardStages(i int, sr *collection.Result) {
 			s.metrics.Histogram(s.shardStageSeries[i][stage], obs.LatencyBuckets).Observe(time.Duration(ns).Seconds())
 		}
 	}
-}
-
-// hitHeap is a min-heap on collection.BetterHit: the root is the worst
-// retained hit, evicted first when a better one arrives. BetterHit is a
-// total order, so the k hits retained — and therefore every
-// limit/offset page — do not depend on k or on arrival order.
-type hitHeap []collection.Hit
-
-func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return collection.BetterHit(h[j], h[i]) }
-func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)        { *h = append(*h, x.(collection.Hit)) }
-func (h *hitHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

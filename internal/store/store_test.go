@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -123,46 +124,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		}
 		if sr.Total != len(cr.Hits) {
 			t.Fatalf("search %q: total %d, want %d", q, sr.Total, len(cr.Hits))
-		}
-	}
-}
-
-// TestTopKMerge checks the heap merge returns the same prefix the
-// full sort would, in the same order.
-func TestTopKMerge(t *testing.T) {
-	st, err := Open(Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close(context.Background())
-	for i := 0; i < 100; i++ {
-		name, xml := testDoc(i)
-		if err := st.AddXML(name, xml); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full, err := search(context.Background(), st, "alpha", "", query.Options{Auto: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 7
-	topk, err := search(context.Background(), st, "alpha", "", query.Options{Auto: true}, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Hits) < k {
-		t.Fatalf("want at least %d hits, got %d", k, len(full.Hits))
-	}
-	if len(topk.Hits) != k {
-		t.Fatalf("top-k returned %d hits, want %d", len(topk.Hits), k)
-	}
-	if topk.Total != full.Total {
-		t.Fatalf("top-k total %d, full total %d", topk.Total, full.Total)
-	}
-	for i := 0; i < k; i++ {
-		if topk.Hits[i].Document != full.Hits[i].Document || topk.Hits[i].Score != full.Hits[i].Score {
-			t.Fatalf("hit %d: top-k %s/%.4f, full-sort %s/%.4f",
-				i, topk.Hits[i].Document, topk.Hits[i].Score, full.Hits[i].Document, full.Hits[i].Score)
 		}
 	}
 }
@@ -491,5 +452,62 @@ func TestAutoCompaction(t *testing.T) {
 	defer st2.Close(context.Background())
 	if st2.Len() != 40 {
 		t.Fatalf("reopened store has %d docs, want 40", st2.Len())
+	}
+}
+
+// TestTopKMerge: Run with k serves exactly the first k
+// hits of Run with k = 0 — score bits, document, fragment — with the
+// same Total, through score ties within and across documents and
+// shards, so every offset/limit page cut from it matches the page cut
+// from the full list.
+func TestTopKMerge(t *testing.T) {
+	st, err := Open(Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close(context.Background())
+	const sec = "<s><p>foo alpha</p><p>bar</p></s>"
+	for i := 0; i < 12; i++ {
+		if err := st.AddXML(fmt.Sprintf("ties-%02d", i), "<a>"+sec+sec+sec+"</a>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		name, xml := testDoc(i)
+		if err := st.AddXML(name, xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ q, filter string }{
+		{"foo bar", "size<=3"},
+		{"alpha|gamma", "size<=3"},
+		{"alpha bar|retrieval", "size<=4"},
+	} {
+		full, err := search(context.Background(), st, c.q, c.filter, query.Options{Auto: true}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Total != len(full.Hits) || full.Total < 20 {
+			t.Fatalf("%q: full search has total %d and %d hits", c.q, full.Total, len(full.Hits))
+		}
+		for k := 1; k <= full.Total+1; k++ {
+			top, err := search(context.Background(), st, c.q, c.filter, query.Options{Auto: true}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if top.Total != full.Total {
+				t.Fatalf("%q k=%d: total %d, full %d", c.q, k, top.Total, full.Total)
+			}
+			if want := min(k, full.Total); len(top.Hits) != want {
+				t.Fatalf("%q k=%d: %d hits, want %d", c.q, k, len(top.Hits), want)
+			}
+			for i, h := range top.Hits {
+				f := full.Hits[i]
+				if h.Document != f.Document || !h.Fragment.Equal(f.Fragment) || math.Float64bits(h.Score) != math.Float64bits(f.Score) {
+					t.Fatalf("%q k=%d hit %d: %s %v %v, full list has %s %v %v",
+						c.q, k, i, h.Document, h.Fragment, h.Score, f.Document, f.Fragment, f.Score)
+				}
+			}
+		}
 	}
 }
