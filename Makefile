@@ -16,14 +16,20 @@ test:
 # from worker goroutines, so race coverage is part of correctness
 # here), then the overload tests again explicitly — the admission
 # controller's shed path must hold under the race detector — the
-# zero-alloc pin for unsampled tracing, and the cancellation/trace
-# overhead benchmarks, which keep the cost of threading a context (and
-# a span) through the join loops visible on every run.
+# allocation pins (unsampled tracing allocates nothing extra; a
+# join-heavy top-10 search and the posting prefilter allocate no more
+# for more answers or postings: the search tail's host-independent
+# proxy), run without -race, which changes allocation counts, and the
+# cancellation/trace overhead benchmarks, which keep the cost of
+# threading a context (and a span) through the join loops visible on
+# every run.
 check: bench-build
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run Overload ./internal/httpapi/
 	$(GO) test -run TestTraceOverheadZeroAlloc -count=1 ./internal/query/
+	$(GO) test -run TestRunTopAllocsFlat -count=1 ./internal/collection/
+	$(GO) test -run TestCandidatesAllocsFlat -count=1 ./internal/gindex/
 	$(GO) test -run xxx -bench 'BenchmarkCancellationOverhead|BenchmarkTraceOverhead' -benchtime 200ms ./internal/query/
 
 # bench-build compiles and vets benchmark/ with the environment of

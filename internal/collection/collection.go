@@ -403,11 +403,8 @@ func (c *Collection) RunTopOn(ctx context.Context, q query.Query, opts query.Opt
 	terms := normalizedTerms(q)
 
 	type docResult struct {
-		stats query.Stats
-		hits  []Hit
-		total int
-		trace *obs.Span
-		err   error
+		DocHits
+		err error
 	}
 	results := make([]docResult, len(targets))
 	// parent is non-nil only on sampled requests: each document then
@@ -432,7 +429,7 @@ func (c *Collection) RunTopOn(ctx context.Context, q query.Query, opts query.Opt
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					results[i] = docResult{err: err}
+					results[i].err = err
 					continue
 				}
 				name, eng := targets[i].name, targets[i].eng
@@ -442,26 +439,9 @@ func (c *Collection) RunTopOn(ctx context.Context, q query.Query, opts query.Opt
 					dsp.SetAttr("queue_wait", time.Since(enqueued).String())
 					docCtx = obs.ContextWithSpan(ctx, dsp)
 				}
-				ans, err := eng.RunContext(docCtx, q, opts)
-				if err != nil {
-					dsp.Finish(0)
-					results[i] = docResult{err: err}
-					continue
-				}
-				rankStart := time.Now()
-				rsp := dsp.Start("rank", "")
-				answers := ans.Result.Answers
-				scored := ranking.New(eng.Index(), terms, ranking.DefaultWeights()).Top(answers, k)
-				hits := make([]Hit, len(scored))
-				for j, s := range scored {
-					hits[j] = Hit{Document: name, Fragment: s.Fragment, Score: s.Score}
-				}
-				rsp.Finish(len(hits), answers.Len())
-				c.metrics.ObserveStage(obs.StageRank, time.Since(rankStart))
-				stats := ans.Result.Stats
-				stats.Stages.Add(obs.StageRank, time.Since(rankStart))
-				dsp.Finish(len(hits))
-				results[i] = docResult{stats: stats, hits: hits, total: answers.Len(), trace: ans.Result.Trace}
+				dh, err := EvalTop(docCtx, name, eng, q, opts, terms, k)
+				dsp.Finish(len(dh.Hits))
+				results[i] = docResult{dh, err}
 			}
 		}()
 	}
@@ -470,7 +450,7 @@ func (c *Collection) RunTopOn(ctx context.Context, q query.Query, opts query.Opt
 	out := &Result{PerDocument: make(map[string]query.Stats, len(targets))}
 	n := 0
 	for _, r := range results {
-		n += len(r.hits)
+		n += len(r.Hits)
 	}
 	sel := ranking.NewTopK(k, n, BetterHit)
 	for i, r := range results {
@@ -482,20 +462,63 @@ func (c *Collection) RunTopOn(ctx context.Context, q query.Query, opts query.Opt
 			out.Errors[name] = r.err
 			continue
 		}
-		out.PerDocument[name] = r.stats
-		out.Total += r.total
-		for _, h := range r.hits {
+		out.PerDocument[name] = r.Stats
+		out.Total += r.Total
+		for _, h := range r.Hits {
 			sel.Offer(h)
 		}
-		if r.trace != nil {
+		if r.Trace != nil {
 			if out.Traces == nil {
 				out.Traces = make(map[string]*obs.Span)
 			}
-			out.Traces[name] = r.trace
+			out.Traces[name] = r.Trace
 		}
 	}
 	out.Hits = sel.Sorted()
 	return out, nil
+}
+
+// DocHits is one document's part of a search.
+type DocHits struct {
+	// Hits are the document's k best hits in BetterHit order (every
+	// hit when k <= 0).
+	Hits []Hit
+	// Total counts the document's answers, before the cut to k.
+	Total int
+	// Stats and Trace are the evaluation's (Trace nil unless traced).
+	Stats query.Stats
+	Trace *obs.Span
+}
+
+// EvalTop evaluates q on one document — eng, holding the document
+// name — and ranks its answers as the evaluation emits them
+// (engine.RunEach): each is scored on its transient IDs, and only the
+// answers the top-k admits are copied, into one slab per document, so
+// no answer set is built and, with k > 0, nothing is allocated per
+// answer. terms
+// are RankTerms(q). k <= 0 keeps every hit. Collection searches and
+// standing-query views both rank through here, so a view and a search
+// agree by construction.
+func EvalTop(ctx context.Context, name string, eng *engine.Engine, q query.Query, opts query.Options, terms []string, k int) (DocHits, error) {
+	col := ranking.New(eng.Index(), terms, ranking.DefaultWeights()).Collect(k, q.PushBounds().Size)
+	res, err := eng.RunEach(ctx, q, opts, func(f core.Fragment) error {
+		col.Offer(f)
+		return nil
+	})
+	if err != nil {
+		return DocHits{}, err
+	}
+	rankStart := time.Now()
+	rsp := obs.SpanFromContext(ctx).Start("rank", "")
+	scored := col.Sorted()
+	hits := make([]Hit, len(scored))
+	for j, s := range scored {
+		hits[j] = Hit{Document: name, Fragment: s.Fragment, Score: s.Score}
+	}
+	rsp.Finish(len(hits), res.Stats.Answers)
+	eng.Metrics().ObserveStage(obs.StageRank, time.Since(rankStart))
+	res.Stats.Stages.Add(obs.StageRank, time.Since(rankStart))
+	return DocHits{Hits: hits, Total: res.Stats.Answers, Stats: res.Stats, Trace: res.Trace}, nil
 }
 
 // BetterHit is the serving order of hits: descending score, ties by

@@ -337,3 +337,51 @@ func TestRunTopOnIsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTopAllocsFlat pins the search tail's host-independent proxy:
+// a join-heavy RunTopOn(…, 10) allocates per document and per served
+// hit, not per answer. The answers stream from the enumerator into each
+// document's top-k, so a collection with many times the answers per
+// document costs no more allocations.
+func TestRunTopAllocsFlat(t *testing.T) {
+	q, err := query.Parse("alpha beta", "size<=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := query.Options{Auto: true}
+	allocs := func(witnesses int) (float64, int) {
+		c := New()
+		c.SetSearchWorkers(1)
+		for i := 0; i < 8; i++ {
+			d, err := docgen.Generate(docgen.Config{
+				Name: fmt.Sprintf("d%d.xml", i), Seed: int64(i), Sections: 3, MeanFanout: 3, Depth: 2,
+				VocabSize: 300, ParLength: 12, Plant: map[string]int{"alpha": witnesses, "beta": witnesses},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Add(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := context.Background()
+		res, err := c.RunTopOn(ctx, q, opts, nil, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := c.RunTopOn(ctx, q, opts, nil, 10); err != nil {
+				t.Fatal(err)
+			}
+		}), res.Total
+	}
+	sparse, n1 := allocs(4)
+	dense, n2 := allocs(12)
+	if n2 < 4*n1 {
+		t.Fatalf("%d answers at the high density, %d at the low: the densities do not differ enough", n2, n1)
+	}
+	if dense > sparse {
+		t.Fatalf("%.0f allocations for %d answers, %.0f for %d: allocations track answers", dense, n2, sparse, n1)
+	}
+	t.Logf("%.0f allocations for %d answers, %.0f for %d", sparse, n1, dense, n2)
+}

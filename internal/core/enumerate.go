@@ -42,29 +42,63 @@ const MaxEnumerateGroups = 64
 // root rule. Distinct child choices give distinct subtrees, so each
 // answer is produced exactly once.
 //
-// sel.Keep is called on transient fragments whose IDs live in a
-// reused buffer; it must not retain its argument. Every partial formed
-// counts as an enum node and every rejection as an enum prune; no
-// join is counted. budget caps the partials held at once and the
-// answers (ErrBudgetExceeded), and ctx is polled amortized.
+// EnumerateAnswers is EnumerateEach collecting the answers into a
+// Set, for explain, the forced strategies and tests. It copies every
+// answer's IDs into one buffer and sizes the Set once; every answer is
+// distinct, so no insertion meets a duplicate.
 func EnumerateAnswers(ctx context.Context, st *EvalState, doc *xmltree.Document, groups [][]xmltree.NodeID, sel Selection, budget int) (*Set, error) {
-	if len(groups) == 0 || len(groups) > MaxEnumerateGroups {
-		return nil, fmt.Errorf("core: EnumerateAnswers takes 1 to %d groups, got %d", MaxEnumerateGroups, len(groups))
+	var (
+		found   []xmltree.NodeID
+		emitted []Fragment
+	)
+	err := EnumerateEach(ctx, st, doc, groups, sel, budget, func(f Fragment) error {
+		found = append(found, f.ids...)
+		emitted = append(emitted, f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	e := enumerator{ctx: ctx, doc: doc, sel: sel, budget: budget}
+	out := &Set{frags: make([]Fragment, 0, len(emitted))}
+	out.growTable(tableSizeFor(len(emitted)))
+	off := 0
+	for _, f := range emitted {
+		n := len(f.ids)
+		f.ids = found[off : off+n : off+n]
+		off += n
+		out.Add(f)
+	}
+	return out, nil
+}
+
+// EnumerateEach calls emit once per answer of σ_sel(F1⁺ ⋈ … ⋈ Fm⁺),
+// as EnumerateAnswers describes, without building a set: each answer is
+// handed over the moment the pass forms it. The fragment emit receives
+// is transient — its IDs live in a buffer the enumeration reuses, so
+// emit must copy whatever it keeps — and an error from emit stops the
+// enumeration and is returned.
+//
+// sel.Keep is likewise called on transient fragments and must not
+// retain its argument. Every partial formed counts as an enum node and
+// every rejection as an enum prune; no join is counted. budget caps
+// the partials held at once and the answers (ErrBudgetExceeded), and
+// ctx is polled amortized. The arena, stacks, witness and ancestor
+// buffers are reused from earlier calls and kept for later ones.
+func EnumerateEach(ctx context.Context, st *EvalState, doc *xmltree.Document, groups [][]xmltree.NodeID, sel Selection, budget int, emit func(Fragment) error) error {
+	if len(groups) == 0 || len(groups) > MaxEnumerateGroups {
+		return fmt.Errorf("core: enumeration takes 1 to %d groups, got %d", MaxEnumerateGroups, len(groups))
+	}
+	e := getEnumerator()
+	e.ctx, e.doc, e.sel, e.budget = ctx, doc, sel, budget
 	e.full = ^uint64(0) >> (64 - len(groups))
-	defer func() {
-		c := st.Counters()
-		c.AddEnumNodes(e.nodes)
-		c.AddEnumPrunes(e.prunes)
-	}()
+	defer e.release(st)
 	wit := e.witnesses(groups)
 	var covered uint64
 	for _, w := range wit {
 		covered |= w.mask
 	}
 	if covered != e.full {
-		return &Set{}, nil
+		return nil
 	}
 	rel := e.ancestors(wit)
 	wi := len(wit) - 1
@@ -77,11 +111,51 @@ func EnumerateAnswers(ctx context.Context, st *EvalState, doc *xmltree.Document,
 		if wi >= 0 && wit[wi].id == v {
 			mask = wit[wi].mask
 		}
-		if err := e.visit(v, mask); err != nil {
-			return nil, err
+		if err := e.visit(v, mask, emit); err != nil {
+			return err
 		}
 	}
-	return e.answers(), nil
+	return nil
+}
+
+// idleEnumerators holds enumerators between calls, so the scratch
+// buffers of one evaluation serve the next instead of being allocated
+// per document. It is a buffered channel rather than a sync.Pool so
+// that reuse is deterministic: a GC empties a Pool and the race
+// detector makes it drop items at random, and the allocation pins
+// must hold in every build. 32 covers the evaluations a busy server
+// runs at once (shards × search workers on a few cores); an
+// enumerator released beyond that is dropped.
+var idleEnumerators = make(chan *enumerator, 32)
+
+// maxPooledScratch bounds the buffers an enumerator may keep when it
+// goes idle: one pathological document must not pin its peak scratch
+// for the process lifetime.
+const maxPooledScratch = 1 << 14
+
+func getEnumerator() *enumerator {
+	select {
+	case e := <-idleEnumerators:
+		return e
+	default:
+		return new(enumerator)
+	}
+}
+
+// release adds the pass's counts to st and returns the enumerator to
+// the idle list with its buffers emptied and its references dropped.
+func (e *enumerator) release(st *EvalState) {
+	c := st.Counters()
+	c.AddEnumNodes(e.nodes)
+	c.AddEnumPrunes(e.prunes)
+	if max(cap(e.arena), cap(e.parts), cap(e.rel), cap(e.wit)) > maxPooledScratch {
+		return
+	}
+	*e = enumerator{arena: e.arena[:0], parts: e.parts[:0], stack: e.stack[:0], wit: e.wit[:0], rel: e.rel[:0]}
+	select {
+	case idleEnumerators <- e:
+	default:
+	}
 }
 
 // partial is one connected subtree whose leaves are all witnesses,
@@ -120,13 +194,12 @@ type enumerator struct {
 	parts []partial
 	stack []pending
 
-	// found holds the IDs of the emitted answers, emitted their
-	// offsets and sizes in it.
-	found   []xmltree.NodeID
-	emitted []struct{ off, n int32 }
+	// wit and rel back the witness list and the ancestor list.
+	wit []witness
+	rel []xmltree.NodeID
 
-	nodes, prunes uint64
-	tick          int
+	answers, nodes, prunes uint64
+	tick                   int
 }
 
 // witnesses merges the groups into W sorted by ID, each node carrying
@@ -137,7 +210,7 @@ func (e *enumerator) witnesses(groups [][]xmltree.NodeID) []witness {
 	for _, g := range groups {
 		n += len(g)
 	}
-	wit := make([]witness, 0, n)
+	wit := slices.Grow(e.wit[:0], n)
 	for i, g := range groups {
 		for _, id := range g {
 			if e.sel.Bounds.Depth > 0 && e.doc.Depth(id) > e.sel.Bounds.Depth {
@@ -155,6 +228,7 @@ func (e *enumerator) witnesses(groups [][]xmltree.NodeID) []witness {
 		}
 		out = append(out, w)
 	}
+	e.wit = out
 	return out
 }
 
@@ -172,7 +246,7 @@ func (e *enumerator) ancestors(wit []witness) []xmltree.NodeID {
 	if b.Height > 0 && (up < 0 || b.Height < up) {
 		up = b.Height
 	}
-	rel := make([]xmltree.NodeID, 0, 2*len(wit))
+	rel := slices.Grow(e.rel[:0], 2*len(wit))
 	for _, w := range wit {
 		for a, k := w.id, 0; ; k++ {
 			rel = append(rel, a)
@@ -185,13 +259,14 @@ func (e *enumerator) ancestors(wit []witness) []xmltree.NodeID {
 		}
 	}
 	slices.Sort(rel)
-	return slices.Compact(rel)
+	e.rel = slices.Compact(rel)
+	return e.rel
 }
 
 // visit builds the partials rooted at v from its children's, emits the
-// answers among them and leaves on the stack those its parent can
+// answers among them through emit and leaves on the stack those its parent can
 // still extend. mask is v's witness mask (0 when v is no witness).
-func (e *enumerator) visit(v xmltree.NodeID, mask uint64) error {
+func (e *enumerator) visit(v xmltree.NodeID, mask uint64, emit func(Fragment) error) error {
 	if err := checkCtx(e.ctx, &e.tick); err != nil {
 		return err
 	}
@@ -268,7 +343,7 @@ func (e *enumerator) visit(v xmltree.NodeID, mask uint64) error {
 			continue // a bare non-witness: a leaf that is no witness
 		}
 		if it.mask == e.full && (mask != 0 || it.kids >= 2) {
-			if err := e.emit(it); err != nil {
+			if err := e.emit(it, emit); err != nil {
 				return err
 			}
 		}
@@ -325,26 +400,12 @@ func (e *enumerator) truncate(parts, arena, stack int) {
 	e.stack = e.stack[:stack]
 }
 
-// emit records partial it as an answer, copying its IDs out of the
-// arena, which the compaction overwrites.
-func (e *enumerator) emit(it partial) error {
-	e.emitted = append(e.emitted, struct{ off, n int32 }{int32(len(e.found)), it.n})
-	e.found = append(e.found, e.arena[it.off:it.off+it.n]...)
-	if len(e.emitted) > e.budget {
+// emit hands partial it to fn as a transient fragment: its IDs stay in
+// the arena, which the compaction after the visit overwrites.
+func (e *enumerator) emit(it partial, fn func(Fragment) error) error {
+	if e.answers++; e.answers > uint64(e.budget) {
 		return budgetError("enumerate", e.budget)
 	}
-	return nil
-}
-
-// answers builds the answer set, sized once; the node lists share
-// found's backing array. Every answer is distinct, so no insertion
-// meets a duplicate.
-func (e *enumerator) answers() *Set {
-	out := &Set{frags: make([]Fragment, 0, len(e.emitted))}
-	out.growTable(tableSizeFor(len(e.emitted)))
-	for _, a := range e.emitted {
-		f := e.found[a.off : a.off+a.n : a.off+a.n]
-		out.Add(Fragment{doc: e.doc, ids: f, hash: hashIDs(f)})
-	}
-	return out
+	ids := e.arena[it.off : it.off+it.n : it.off+it.n]
+	return fn(Fragment{doc: e.doc, ids: ids, hash: hashIDs(ids)})
 }

@@ -197,3 +197,30 @@ func BenchmarkEnumerateAnswers(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(c.Snapshot().EnumNodes)/float64(b.N), "enum-nodes/op")
 }
+
+// BenchmarkEnumerateEach is BenchmarkEnumerateAnswers through the
+// visitor: the answers are counted as they stream out and no set is
+// built, which is how the search path consumes them.
+func BenchmarkEnumerateEach(b *testing.B) {
+	d := benchDoc(b)
+	rng := rand.New(rand.NewSource(8))
+	f := randomSet(b, rng, d, 64, 2)
+	roots := make([]xmltree.NodeID, 0, f.Len())
+	for _, fr := range f.Fragments() {
+		roots = append(roots, fr.Root())
+	}
+	groups := [][]xmltree.NodeID{roots}
+	sel := Selection{Bounds: Bounds{Size: 8}}
+	var c obs.EvalCounters
+	answers := 0
+	count := func(Fragment) error { answers++; return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := EnumerateEach(bg, NewEvalState(&c), d, groups, sel, 1<<30, count); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Snapshot().EnumNodes)/float64(b.N), "enum-nodes/op")
+}

@@ -131,6 +131,17 @@ func (f Fragment) Root() xmltree.NodeID { return f.ids[0] }
 // shared; callers must not modify it.
 func (f Fragment) IDs() []xmltree.NodeID { return f.ids }
 
+// CopyTo appends f's IDs to buf and returns f backed by that copy,
+// together with the grown buf. It is how a caller keeps a transient
+// fragment (EnumerateEach's) in storage of its own, many fragments to
+// one buffer.
+func (f Fragment) CopyTo(buf []xmltree.NodeID) (Fragment, []xmltree.NodeID) {
+	off := len(buf)
+	buf = append(buf, f.ids...)
+	f.ids = buf[off:len(buf):len(buf)]
+	return f, buf
+}
+
 // Contains reports whether node id ∈ nodes(f).
 func (f Fragment) Contains(id xmltree.NodeID) bool {
 	i := sort.Search(len(f.ids), func(i int) bool { return f.ids[i] >= id })

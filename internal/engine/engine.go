@@ -91,8 +91,35 @@ func (e *Engine) Index() *index.Index { return e.idx }
 // query-timeout counter, so shed work remains attributable. Parse
 // keyword/filter strings with query.Parse.
 func (e *Engine) RunContext(ctx context.Context, q query.Query, opts query.Options) (*Answer, error) {
+	res, err := e.run(ctx, q, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{doc: e.doc, Query: q, Result: res}, nil
+}
+
+// RunEach is RunContext handing each answer to emit instead of
+// returning the answer set (query.EvaluateEach): on the enumerate path
+// the fragments emit sees are transient and it must copy what it keeps.
+// The result carries the statistics and trace, not the answers; the
+// metrics are recorded as RunContext records them.
+func (e *Engine) RunEach(ctx context.Context, q query.Query, opts query.Options, emit func(core.Fragment) error) (query.Result, error) {
+	return e.run(ctx, q, opts, emit)
+}
+
+// run evaluates q (query.EvaluateEach when emit is set) and records
+// the evaluation into the metrics registry.
+func (e *Engine) run(ctx context.Context, q query.Query, opts query.Options, emit func(core.Fragment) error) (query.Result, error) {
 	start := time.Now()
-	res, err := query.EvaluateContext(ctx, e.idx, q, opts)
+	var (
+		res query.Result
+		err error
+	)
+	if emit != nil {
+		res, err = query.EvaluateEach(ctx, e.idx, q, opts, emit)
+	} else {
+		res, err = query.EvaluateContext(ctx, e.idx, q, opts)
+	}
 	if err != nil {
 		e.metrics.Counter(obs.MQueryErrors).Add(1)
 		if c, ok := query.IsCanceled(err); ok {
@@ -100,11 +127,11 @@ func (e *Engine) RunContext(ctx context.Context, q query.Query, opts query.Optio
 			e.metrics.RecordEval(c.Stats.Ops, time.Since(start), 0)
 			e.metrics.RecordStages(c.Stats.Stages)
 		}
-		return nil, err
+		return query.Result{}, err
 	}
 	e.metrics.RecordEval(res.Stats.Ops, time.Since(start), res.Stats.Answers)
 	e.metrics.RecordStages(res.Stats.Stages)
-	return &Answer{doc: e.doc, Query: q, Result: res}, nil
+	return res, nil
 }
 
 // SLCA returns the conventional smallest-subtree baseline answer for

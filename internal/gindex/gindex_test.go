@@ -420,16 +420,16 @@ func TestPutReplacesAndIDsNeverReused(t *testing.T) {
 // exhaustivePairBoundsViolated is the Dewey witness-pair bound in its
 // exhaustive form: each measure's minimum over all pairs, then the
 // verdict.
-func exhaustivePairBoundsViolated(wi, wj []witness, b core.Bounds) bool {
+func exhaustivePairBoundsViolated(wi, wj []Posting, b core.Bounds) bool {
 	const maxInt = int(^uint(0) >> 1)
 	minSize, minHeight, minWidth := maxInt, maxInt, maxInt
 	for _, a := range wi {
 		for _, c := range wj {
-			da, dc := len(a.post.Dewey), len(c.post.Dewey)
-			cpl := commonPrefixLen(a.post.Dewey, c.post.Dewey)
+			da, dc := len(a.Dewey), len(c.Dewey)
+			cpl := commonPrefixLen(a.Dewey, c.Dewey)
 			minSize = min(minSize, da+dc-2*cpl+1)
 			minHeight = min(minHeight, max(da, dc)-cpl)
-			w := int(a.post.Node) - int(c.post.Node)
+			w := int(a.Node) - int(c.Node)
 			minWidth = min(minWidth, max(w, -w))
 		}
 	}
@@ -442,13 +442,13 @@ func exhaustivePairBoundsViolated(wi, wj []witness, b core.Bounds) bool {
 // exhaustive verdict on random trees, witness sets and bounds.
 func TestPairBoundsMatchExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	witnesses := func(d *xmltree.Document) []witness {
-		var ws []witness
+	witnesses := func(d *xmltree.Document) []Posting {
+		var ws []Posting
 		for i, n := 0, 1+rng.Intn(8); i < n; i++ {
 			id := xmltree.NodeID(rng.Intn(d.Len()))
-			ws = append(ws, witness{post: Posting{Node: id, Dewey: d.Dewey(id)}})
+			ws = append(ws, Posting{Node: id, Dewey: d.Dewey(id)})
 		}
-		return dedupeWitnesses(ws)
+		return refDedupe(ws)
 	}
 	verdicts := map[bool]int{}
 	for c := 0; c < 3000; c++ {

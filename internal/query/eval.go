@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -195,6 +196,24 @@ func Evaluate(x *index.Index, q Query, opts Options) (Result, error) {
 // error wrapping ctx.Err() and carrying the partial Stats of the work
 // done.
 func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options) (Result, error) {
+	return evaluate(ctx, x, q, opts, nil)
+}
+
+// EvaluateEach is EvaluateContext handing each answer to emit, in no
+// particular order, instead of returning the answer set: Result.Answers
+// is nil and the statistics are EvaluateContext's. On the enumerate
+// path the answers stream straight out of core.EnumerateEach: emit sees
+// transient fragments and must copy what it keeps, and each answer is
+// tested only against the residual clauses the enumeration does not
+// push, so no answer set is ever built. The other strategies build
+// their answer set and emit its members. An error from emit stops the
+// evaluation and is returned (a context error as a *Canceled).
+func EvaluateEach(ctx context.Context, x *index.Index, q Query, opts Options, emit func(core.Fragment) error) (Result, error) {
+	return evaluate(ctx, x, q, opts, emit)
+}
+
+// evaluate is EvaluateContext (emit nil) and EvaluateEach (emit set).
+func evaluate(ctx context.Context, x *index.Index, q Query, opts Options, emit func(core.Fragment) error) (Result, error) {
 	if len(q.Terms) == 0 {
 		return Result{}, fmt.Errorf("query: empty query")
 	}
@@ -222,13 +241,22 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 		}
 	}
 	stats := Stats{SeedSizes: make([]int, len(groups))}
-	finish := func(answers *core.Set) Result {
-		stats.Answers = answers.Len()
+	// finish records n answers; answers is the set holding them, nil
+	// when they were emitted instead.
+	finish := func(answers *core.Set, n int) Result {
+		stats.Answers = n
 		stats.Ops = ec.Counters.Snapshot()
 		stats.Joins = stats.Ops.Joins
 		stats.Elapsed = time.Since(start)
-		ec.Span.Finish(answers.Len())
+		ec.Span.Finish(n)
 		return Result{Answers: answers, Stats: stats, Trace: ec.Span}
+	}
+	// none finishes an evaluation that proved the answer empty.
+	none := func() Result {
+		if emit != nil {
+			return finish(nil, 0)
+		}
+		return finish(core.NewSet(), 0)
 	}
 	// canceled packages a context stop as a *Canceled error with the
 	// statistics of the work performed so far.
@@ -237,6 +265,14 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 		stats.Joins = stats.Ops.Joins
 		stats.Elapsed = time.Since(start)
 		return &Canceled{Stats: stats, err: err}
+	}
+	// stopped turns a context stop into a *Canceled error and passes
+	// any other error through.
+	stopped := func(err error) error {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return canceled(err)
+		}
+		return err
 	}
 	// Fail fast on an already-expired context before touching the
 	// index: the acceptance bar for pathological inputs is prompt
@@ -250,7 +286,8 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 	// strategies start from. More groups than the enumerator's masks
 	// hold leave it to push-down.
 	enumerate := opts.Auto && q.HasPushableFilter() && len(groups) <= core.MaxEnumerateGroups
-	nodes := make([][]xmltree.NodeID, len(groups))
+	var nodesBuf [4][]xmltree.NodeID // on the stack for up to four groups
+	nodes := slices.Grow(nodesBuf[:0], len(groups))[:len(groups)]
 	var seeds []seedRef
 	if !enumerate {
 		seeds = make([]seedRef, len(groups))
@@ -274,7 +311,7 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 			// Conjunctive semantics: a group with no witness in the
 			// document empties the answer.
 			stats.Stages.Add(obs.StageSelection, time.Since(seedStart))
-			return finish(core.NewSet()), nil
+			return none(), nil
 		}
 	}
 	stats.Stages.Add(obs.StageSelection, time.Since(seedStart))
@@ -339,7 +376,7 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 			stats.Stages.Add(obs.StageSelection, time.Since(ppStart))
 			if empty {
 				ec.Counters.AddPostingPrunes(1)
-				return finish(core.NewSet()), nil
+				return none(), nil
 			}
 		}
 	}
@@ -349,6 +386,13 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 		err     error
 	)
 	budget := opts.maxFragments()
+	if strategy == cost.Enumerate && emit != nil {
+		n, err := evalEnumerateEach(ec, doc, nodes, q, &stats, budget, emit)
+		if err != nil {
+			return Result{}, stopped(err)
+		}
+		return finish(nil, n), nil
+	}
 	switch strategy {
 	case cost.BruteForce:
 		answers, err = evalBruteForce(ec, ordered, q, &stats, budget)
@@ -362,12 +406,17 @@ func EvaluateContext(ctx context.Context, x *index.Index, q Query, opts Options)
 		err = fmt.Errorf("query: unknown strategy %v", strategy)
 	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return Result{}, canceled(err)
-		}
-		return Result{}, err
+		return Result{}, stopped(err)
 	}
-	return finish(answers), nil
+	if emit != nil {
+		for _, f := range answers.Fragments() {
+			if err := emit(f); err != nil {
+				return Result{}, err
+			}
+		}
+		return finish(nil, answers.Len()), nil
+	}
+	return finish(answers, answers.Len()), nil
 }
 
 // seedSets projects the seed sets out of refs for the cost chooser.
@@ -410,9 +459,18 @@ func seedNodes(x *index.Index, alts []string) []xmltree.NodeID {
 // selectAnswers applies the final whole-query selection under a
 // "select" span, attributing the time to the selection stage.
 func selectAnswers(ctx *EvalContext, q Query, candidates *core.Set, stats *Stats) *core.Set {
+	return selectWith(ctx, candidates, stats, q.predicateFunc(), func() string { return q.Predicate().String() })
+}
+
+// selectWith runs pred over candidates under a "select" span labelled
+// by label, which is called only when the evaluation is traced.
+func selectWith(ctx *EvalContext, candidates *core.Set, stats *Stats, pred func(core.Fragment) bool, label func() string) *core.Set {
 	start := time.Now()
-	sp := ctx.Span.Start("select", q.Predicate().String())
-	out := candidates.Select(q.predicateFunc())
+	var sp *obs.Span
+	if ctx.Span != nil {
+		sp = ctx.Span.Start("select", label())
+	}
+	out := candidates.Select(pred)
 	sp.Finish(out.Len(), candidates.Len())
 	stats.Stages.Add(obs.StageSelection, time.Since(start))
 	return out
@@ -520,13 +578,16 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 // pushable filter is accept-all and the evaluation equals the
 // set-reduction strategy.
 func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budget int) (*core.Set, error) {
-	pushable := q.Pushable()
 	// Evaluate the pushed conjunction cheap-clauses-first, bounds from
-	// labels; span labels keep the query's clause order via
-	// pushable.Name.
+	// labels; span labels keep the query's clause order via the
+	// pushable filter's name, built only when traced.
+	var pushName string
+	if ctx.Span != nil {
+		pushName = q.Pushable().Name
+	}
 	push := q.pushSelection()
 	fpStart := time.Now()
-	sp := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(seeds[0].term, pushable.Name))
+	sp := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(seeds[0].term, pushName))
 	acc, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, seeds[0].set, push, budget)
 	if err != nil {
 		return nil, err
@@ -536,7 +597,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 	stats.FixedPointSizes = append(stats.FixedPointSizes, acc.Len())
 	for _, s := range seeds[1:] {
 		fpStart = time.Now()
-		spFP := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(s.term, pushable.Name))
+		spFP := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(s.term, pushName))
 		next, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, s.set, push, budget)
 		if err != nil {
 			return nil, err
@@ -545,7 +606,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 		stats.Stages.Add(obs.StageReduction, time.Since(fpStart))
 		stats.FixedPointSizes = append(stats.FixedPointSizes, next.Len())
 		joinStart := time.Now()
-		spJ := ctx.Span.Start("filtered-pairwise-join", pushable.Name)
+		spJ := ctx.Span.Start("filtered-pairwise-join", pushName)
 		inL, inR := acc.Len(), next.Len()
 		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, push, budget); err != nil {
 			return nil, err
@@ -560,11 +621,12 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 // evalEnumerate produces the answers as closed witness sets
 // (core.EnumerateAnswers): one bottom-up pass over the witness nodes'
 // ancestors under the pushed selection, with no fixed point and no
-// join; the whole selection runs last, as under push-down. The pass is
-// charged to the join stage, which it replaces.
+// join. The pass holds the pushed clauses exactly, so only the residual
+// runs last, and not at all when there is none. The pass is charged to
+// the join stage, which it replaces.
 func evalEnumerate(ctx *EvalContext, doc *xmltree.Document, groups [][]xmltree.NodeID, q Query, stats *Stats, budget int) (*core.Set, error) {
 	start := time.Now()
-	sp := ctx.Span.Start("enumerate", q.Pushable().Name)
+	sp := ctx.Span.Start("enumerate", pushableName(ctx, q))
 	cands, err := core.EnumerateAnswers(ctx.Ctx, ctx.State, doc, groups, q.pushSelection(), budget)
 	if err != nil {
 		return nil, err
@@ -572,7 +634,45 @@ func evalEnumerate(ctx *EvalContext, doc *xmltree.Document, groups [][]xmltree.N
 	sp.Finish(cands.Len(), stats.SeedSizes...)
 	stats.Stages.Add(obs.StageJoin, time.Since(start))
 	stats.Candidates = cands.Len()
-	return selectAnswers(ctx, q, cands, stats), nil
+	residual := q.residualFunc()
+	if residual == nil {
+		return cands, nil
+	}
+	return selectWith(ctx, cands, stats, residual, func() string { return q.Residual().String() }), nil
+}
+
+// evalEnumerateEach is evalEnumerate streaming: each answer the pass
+// forms is tested against the residual and handed to emit, and none is
+// kept. It returns the number emitted.
+func evalEnumerateEach(ctx *EvalContext, doc *xmltree.Document, groups [][]xmltree.NodeID, q Query, stats *Stats, budget int, emit func(core.Fragment) error) (int, error) {
+	start := time.Now()
+	sp := ctx.Span.Start("enumerate", pushableName(ctx, q))
+	residual := q.residualFunc()
+	cands, n := 0, 0
+	err := core.EnumerateEach(ctx.Ctx, ctx.State, doc, groups, q.pushSelection(), budget, func(f core.Fragment) error {
+		cands++
+		if residual != nil && !residual(f) {
+			return nil
+		}
+		n++
+		return emit(f)
+	})
+	if err != nil {
+		return 0, err
+	}
+	sp.Finish(cands, stats.SeedSizes...)
+	stats.Stages.Add(obs.StageJoin, time.Since(start))
+	stats.Candidates = cands
+	return n, nil
+}
+
+// pushableName labels an enumerate span with the pushed filter; it is
+// built only when the evaluation is traced.
+func pushableName(ctx *EvalContext, q Query) string {
+	if ctx.Span == nil {
+		return ""
+	}
+	return q.Pushable().Name
 }
 
 // spanFilterDetail labels a push-down span with its term and pushed

@@ -218,5 +218,20 @@ func FuzzQueryAuto(f *testing.F) {
 		if !got.Answers.Equal(want.Answers) {
 			t.Fatalf("%s: auto (%v) answers %v, push-down %v", q, got.Stats.Strategy, got.Answers, want.Answers)
 		}
+		// The streamed form: EvaluateEach emits the same answers, with
+		// only the residual tested per answer, and the same counts.
+		streamed := core.NewSet()
+		each, err := EvaluateEach(context.Background(), x, q, Options{Auto: true, MaxFragments: 5000}, func(f core.Fragment) error {
+			kept, _ := f.CopyTo(nil)
+			streamed.Add(kept)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: EvaluateEach: %v", q, err)
+		}
+		if !streamed.Equal(want.Answers) || each.Stats.Answers != got.Stats.Answers || each.Stats.Candidates != got.Stats.Candidates {
+			t.Fatalf("%s: streamed %v (answers %d, candidates %d), EvaluateContext %v (answers %d, candidates %d)",
+				q, streamed, each.Stats.Answers, each.Stats.Candidates, want.Answers, got.Stats.Answers, got.Stats.Candidates)
+		}
 	})
 }

@@ -239,6 +239,23 @@ func (q Query) predicateFunc() func(core.Fragment) bool {
 	return p.Apply
 }
 
+// residualFunc is Residual, cheap first, as a predicate — the part of
+// P that pushSelection does not carry, for the answers the enumeration
+// produces under the pushed selection. It is nil when there is no
+// residual clause.
+func (q Query) residualFunc() func(core.Fragment) bool {
+	var rest []filter.Filter
+	for _, f := range q.Filters {
+		if !f.AntiMonotonic {
+			rest = append(rest, f)
+		}
+	}
+	if len(rest) == 0 {
+		return nil
+	}
+	return filter.And(filter.OrderCheapFirst(rest)...).Apply
+}
+
 // pushSelection is Pushable as the kernel's selection, for the
 // filtered fixed points and joins of the push-down strategy: the
 // structural limits as Bounds, so the join loops decide them from

@@ -48,12 +48,17 @@ type Scored struct {
 type Ranker struct {
 	doc     *xmltree.Document
 	weights Weights
-	// The query terms that occur in the document, in query-term order,
-	// with each one's IDF and sorted posting list: Score sums the terms
-	// in this fixed order, so a fragment's score is the same bits on
-	// every call.
-	idf      []float64
-	postings [][]xmltree.NodeID
+	// The query terms that occur in the document, in query-term order:
+	// Score sums the terms in this fixed order, so a fragment's score
+	// is the same bits on every call.
+	terms []rankTerm
+}
+
+// rankTerm is one query term a document carries: its IDF and its
+// sorted posting list.
+type rankTerm struct {
+	idf      float64
+	postings []xmltree.NodeID
 }
 
 // New builds a ranker for the document behind idx, for the given
@@ -62,7 +67,7 @@ func New(idx *index.Index, terms []string, w Weights) *Ranker {
 	if w.SizeDecay <= 0 || w.SizeDecay > 1 {
 		w = DefaultWeights()
 	}
-	r := &Ranker{doc: idx.Document(), weights: w}
+	r := &Ranker{doc: idx.Document(), weights: w, terms: make([]rankTerm, 0, len(terms))}
 	n := float64(r.doc.Len())
 	for i, t := range terms {
 		if slices.Contains(terms[:i], t) {
@@ -74,8 +79,7 @@ func New(idx *index.Index, terms []string, w Weights) *Ranker {
 			continue
 		}
 		// Standard smoothed IDF over nodes-as-documents.
-		r.idf = append(r.idf, math.Log(1+n/float64(len(post))))
-		r.postings = append(r.postings, post)
+		r.terms = append(r.terms, rankTerm{idf: math.Log(1 + n/float64(len(post))), postings: post})
 	}
 	return r
 }
@@ -89,7 +93,8 @@ func New(idx *index.Index, terms []string, w Weights) *Ranker {
 func (r *Ranker) Score(f core.Fragment) float64 {
 	ids := f.IDs()
 	score := 0.0
-	for t, post := range r.postings {
+	for _, t := range r.terms {
+		post := t.postings
 		termScore := 0.0
 		lo := 0
 		for i, id := range ids {
@@ -104,7 +109,7 @@ func (r *Ranker) Score(f core.Fragment) float64 {
 			}
 			termScore += w
 		}
-		score += r.idf[t] * termScore
+		score += t.idf * termScore
 	}
 	score *= math.Pow(r.weights.SizeDecay, float64(f.Size()-1))
 	score *= 1 + r.weights.DepthBonus*float64(r.doc.Depth(f.Root()))
@@ -124,6 +129,77 @@ func better(a, b Scored) bool {
 // descending score order, ties broken by the canonical fragment order:
 // Top(answers, 0).
 func (r *Ranker) Rank(answers *core.Set) []Scored { return r.Top(answers, 0) }
+
+// Collector is Top over answers that arrive one at a time as
+// transient fragments (query.EvaluateEach's): each is scored on the
+// IDs it arrives with, and only one the selection admits is copied,
+// into a slab its kept answers share. Answers pushed out again leave
+// dead ranges behind; when the slab is full the live answers move to
+// the other half of the same array, so with k > 0 the array stops
+// growing once a half holds the k best answers and one more, however
+// many answers are offered.
+type Collector struct {
+	r           *Ranker
+	sel         TopK[Scored]
+	slab, spare []xmltree.NodeID
+	maxSize     int
+}
+
+// Collect returns a Collector keeping the k best answers in Rank's
+// order (k <= 0 keeps every answer). maxSize is the most nodes an
+// answer can have (a pushed size bound), 0 when unknown; it sizes the
+// slab so that, when known, a k > 0 collector allocates it once.
+func (r *Ranker) Collect(k, maxSize int) Collector {
+	return Collector{r: r, sel: NewTopK(k, k, better), maxSize: maxSize}
+}
+
+// Offer scores f and keeps a copy of it if it is among the k best so
+// far. f itself is not retained.
+func (c *Collector) Offer(f core.Fragment) {
+	s := Scored{Fragment: f, Score: c.r.Score(f)}
+	if !c.sel.admits(s) {
+		return
+	}
+	if len(c.slab)+f.Size() > cap(c.slab) {
+		c.makeRoom(f.Size())
+	}
+	s.Fragment, c.slab = f.CopyTo(c.slab)
+	c.sel.Offer(s)
+}
+
+// makeRoom moves the kept answers into the spare half of the array,
+// first allocating a new array when a half cannot hold them and n more
+// IDs, and swaps the halves: the dead ranges are dropped without moving
+// anything in place. A k > 0 collector's first array has halves of k+1
+// answers of maxSize nodes (or of the first answer's size when maxSize
+// is unknown), so with a known size bound the k kept answers and the
+// next always fit and the array is never replaced.
+func (c *Collector) makeRoom(n int) {
+	kept := c.sel.heap
+	need := n
+	for _, s := range kept {
+		need += s.Fragment.Size()
+	}
+	next := c.spare[:0]
+	if cap(next) < need {
+		half := 2 * need
+		if c.slab == nil && c.sel.k > 0 {
+			half = (c.sel.k + 1) * max(n, c.maxSize)
+		}
+		arr := make([]xmltree.NodeID, 2*half)
+		next, c.spare = arr[:0:half], arr[half:half]
+	} else {
+		c.spare = c.slab[:0]
+	}
+	for i := range kept {
+		kept[i].Fragment, next = kept[i].Fragment.CopyTo(next)
+	}
+	c.slab = next
+}
+
+// Sorted returns the kept answers in Rank's order. Like TopK.Sorted it
+// reuses the collector's buffers, so nothing may be offered afterwards.
+func (c *Collector) Sorted() []Scored { return c.sel.Sorted() }
 
 // Top returns the k best answers in Rank's order — exactly
 // Rank(answers)[:k] — keeping only k of them while it scores the rest.

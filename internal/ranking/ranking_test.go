@@ -404,3 +404,41 @@ func BenchmarkRank(b *testing.B) {
 		})
 	}
 }
+
+// TestCollectorMatchesTop: a Collector offered the answers one at a
+// time, each through a buffer that is overwritten by the next, keeps
+// exactly Top(answers, k) — at every k, in any offer order, with and
+// without a size hint smaller than the answers.
+func TestCollectorMatchesTop(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for c := 0; c < 30; c++ {
+		x, q, answers := randomCase(t, rng)
+		r := New(x, rankTerms(q), DefaultWeights())
+		frags := append([]core.Fragment(nil), answers.Fragments()...)
+		for k := 0; k <= len(frags)+1; k++ {
+			want := r.Top(answers, k)
+			for _, maxSize := range []int{0, 1, 8} {
+				rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
+				col := r.Collect(k, maxSize)
+				var buf []xmltree.NodeID
+				for _, f := range frags {
+					var transient core.Fragment
+					transient, buf = f.CopyTo(buf[:0])
+					col.Offer(transient)
+					for i := range buf {
+						buf[i] = -1
+					}
+				}
+				got := col.Sorted()
+				if len(got) != len(want) {
+					t.Fatalf("case %d, k=%d, maxSize %d: kept %d answers, Top %d", c, k, maxSize, len(got), len(want))
+				}
+				for i := range got {
+					if !got[i].Fragment.Equal(want[i].Fragment) || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+						t.Fatalf("case %d, k=%d, maxSize %d: [%d] = %v, Top has %v", c, k, maxSize, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -40,6 +40,11 @@ func (t *TopK[T]) Offer(v T) {
 	}
 }
 
+// admits reports whether Offer(v) would keep v.
+func (t *TopK[T]) admits(v T) bool {
+	return t.k <= 0 || len(t.heap) < t.k || t.better(v, t.heap[0])
+}
+
 // down restores the heap below i: a parent is never better than its
 // children, so the root is the worst value kept.
 func (t *TopK[T]) down(i int) {

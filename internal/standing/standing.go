@@ -43,7 +43,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/ranking"
 )
 
 // Corpus is the slice of a document store the registry needs: name
@@ -427,28 +426,26 @@ func (r *Registry) snapshotList() []*Subscription {
 }
 
 // evaluate runs one subscription's algebra on one engine and returns
-// the ranked hits, exactly as a collection search would produce them
-// (same evaluation entry point, same ranker, same term
-// normalization) — the byte-identity invariant rests here. A nil
-// engine (document absent) and an evaluation error both yield no hits;
-// errors are counted.
+// the ranked hits through the collection's own per-document
+// evaluate-and-rank (collection.EvalTop with no cut), so a view
+// holds exactly what a search of the document serves — the
+// byte-identity invariant rests here. A nil engine (document absent)
+// and an evaluation error both yield no hits; errors are counted.
 func (r *Registry) evaluate(sub *Subscription, name string, eng *engine.Engine) []Hit {
 	if eng == nil {
 		return nil
 	}
-	ans, err := eng.RunContext(context.Background(), sub.q, sub.opts)
+	dh, err := collection.EvalTop(context.Background(), name, eng, sub.q, sub.opts, collection.RankTerms(sub.q), 0)
 	if err != nil {
 		r.metrics.Counter(obs.MStandingErrors).Add(1)
 		return nil
 	}
-	rk := ranking.New(eng.Index(), collection.RankTerms(sub.q), ranking.DefaultWeights())
-	scored := rk.Rank(ans.Result.Answers)
-	if len(scored) == 0 {
+	if len(dh.Hits) == 0 {
 		return nil
 	}
-	hits := make([]Hit, 0, len(scored))
-	for _, s := range scored {
-		ids := s.Fragment.IDs()
+	hits := make([]Hit, 0, len(dh.Hits))
+	for _, h := range dh.Hits {
+		ids := h.Fragment.IDs()
 		nodes := make([]int32, len(ids))
 		for i, id := range ids {
 			nodes[i] = int32(id)
@@ -456,10 +453,10 @@ func (r *Registry) evaluate(sub *Subscription, name string, eng *engine.Engine) 
 		hits = append(hits, Hit{
 			Document: name,
 			Nodes:    nodes,
-			Root:     int32(s.Fragment.Root()),
-			Size:     s.Fragment.Size(),
-			Score:    s.Score,
-			Snippet:  collection.Snippet(s.Fragment),
+			Root:     int32(h.Fragment.Root()),
+			Size:     h.Fragment.Size(),
+			Score:    h.Score,
+			Snippet:  collection.Snippet(h.Fragment),
 		})
 	}
 	return hits
