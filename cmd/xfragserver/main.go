@@ -1,5 +1,5 @@
-// Command xfragserver serves a collection of XML documents as a JSON
-// keyword-search API (see internal/httpapi for the endpoints).
+// Command xfragserver serves a sharded store of XML documents as a
+// JSON keyword-search API (see internal/httpapi for the endpoints).
 //
 // Usage:
 //
@@ -45,13 +45,14 @@
 // -admission-wait) that sheds overload with 503 + Retry-After instead
 // of queueing unboundedly.
 //
-// With -data-dir the server runs on the durable sharded store
-// (internal/store): documents added at runtime are write-ahead-logged
-// and survive restarts, ingest is asynchronous behind a bounded
-// queue, and search scatter-gathers across shards under the request
-// deadline. Without it the server is a plain in-memory collection, as
-// before. SIGINT/SIGTERM shuts down gracefully: in-flight requests
-// finish, the ingest queue drains, and the WAL is fsynced.
+// Every server runs on the sharded store (internal/store): ingest can
+// be asynchronous behind a bounded queue (-ingest-workers,
+// -ingest-queue), and search scatter-gathers across -shards shards
+// under the request deadline. With -data-dir the store is durable:
+// documents added at runtime are write-ahead-logged and survive
+// restarts. Without it the store lives in memory only.
+// SIGINT/SIGTERM shuts down gracefully: in-flight requests finish,
+// the ingest queue drains, and the WAL (if any) is fsynced.
 //
 // With -pprof, the Go profiling endpoints mount under /debug/pprof/
 // and expvar under /debug/vars.
@@ -81,7 +82,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/collection"
 	"repro/internal/docgen"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
@@ -96,9 +96,9 @@ func main() {
 	paper := flag.Bool("paper", false, "preload the paper's Figure 1 document")
 	snap := flag.String("snapshot", "", "preload documents from a snapshot file (see internal/snapshot)")
 	dataDir := flag.String("data-dir", "", "durable store directory (WAL + compaction snapshots); empty serves from memory only")
-	shards := flag.Int("shards", 8, "document shards in the durable store (with -data-dir)")
-	ingestWorkers := flag.Int("ingest-workers", 4, "background indexing workers for async ingest (with -data-dir)")
-	queueSize := flag.Int("ingest-queue", 256, "async ingest queue bound; a full queue returns 429 (with -data-dir)")
+	shards := flag.Int("shards", 8, "document shards in the store")
+	ingestWorkers := flag.Int("ingest-workers", 4, "background indexing workers for async ingest")
+	queueSize := flag.Int("ingest-queue", 256, "async ingest queue bound; a full queue returns 429")
 	bgReplay := flag.Bool("background-replay", false, "recover the WAL in the background and serve /readyz=503 until done (with -data-dir)")
 	indexDir := flag.String("index-dir", "", "persistent global term index directory: restart reuses persisted postings instead of re-tokenizing, and searches prune documents by posting arithmetic (requires -data-dir)")
 	indexFlushBytes := flag.Int64("index-flush-bytes", 0, "per-shard term-index memtable budget before a segment flush; 0 uses the built-in default (with -index-dir)")
@@ -124,7 +124,7 @@ func main() {
 	}
 
 	// Gather the preload set (CLI files, -paper, -snapshot) first; it
-	// is fed to whichever backend is selected.
+	// is fed to the store once it is open.
 	var preload []*xmltree.Document
 	if *paper {
 		preload = append(preload, docgen.FigureOne())
@@ -169,7 +169,7 @@ func main() {
 		WatchBuffer:        *watchBuffer,
 	}
 
-	// The signal context is created before the backend so the
+	// The signal context is created before the store so the
 	// replication follower (which needs a cancellation context from
 	// birth) and the HTTP server share one shutdown trigger.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -194,15 +194,17 @@ func main() {
 	if *indexDir != "" && *dataDir == "" {
 		log.Fatal("-index-dir requires -data-dir (the term index is a cache of the WAL)")
 	}
+	if *bgReplay && *dataDir == "" {
+		log.Fatal("-background-replay requires -data-dir (there is no WAL to recover)")
+	}
 
 	var (
-		handler  http.Handler
 		st       *store.Store
 		follower *repl.Follower
+		err      error
 	)
-	switch {
-	case *dataDir != "":
-		var err error
+	if *role != "replica" {
+		// An empty -data-dir opens an in-memory store.
 		st, err = store.Open(store.Options{
 			Dir:              *dataDir,
 			Shards:           *shards,
@@ -231,17 +233,19 @@ func main() {
 					log.Fatalf("add %s: %v", d.Name(), err)
 				}
 			}
+			where := "in memory"
+			if *dataDir != "" {
+				where = "data in " + *dataDir
+			}
 			stats := st.Stats()
-			fmt.Printf("xfragserver: %d document(s), %d nodes, %d postings — %d shard(s), data in %s — listening on %s\n",
-				stats.Documents, stats.Nodes, stats.Postings, st.Shards(), *dataDir, *addr)
+			fmt.Printf("xfragserver: %d document(s), %d nodes, %d postings — %d shard(s), %s — listening on %s\n",
+				stats.Documents, stats.Nodes, stats.Postings, st.Shards(), where, *addr)
 		}
 		if *role == "primary" {
 			cfg.Replication = &httpapi.ReplicationConfig{Role: httpapi.RolePrimary}
 			fmt.Printf("xfragserver: primary — followers stream from /repl/v1/ — listening on %s\n", *addr)
 		}
-		handler = httpapi.NewStoreWithConfig(st, cfg)
-	case *role == "replica":
-		var err error
+	} else {
 		// MemoryIndex: the replica builds its term index from the
 		// replicated WAL stream, so posting-first pruning serves the
 		// same answers as the primary.
@@ -270,19 +274,8 @@ func main() {
 			MaxStaleness: *maxStaleness,
 		}
 		fmt.Printf("xfragserver: replica of %s (max staleness %s) — listening on %s\n", *primaryURL, *maxStaleness, *addr)
-		handler = httpapi.NewStoreWithConfig(st, cfg)
-	default:
-		coll := collection.New()
-		for _, d := range preload {
-			if err := coll.Add(d); err != nil {
-				log.Fatalf("add %s: %v", d.Name(), err)
-			}
-		}
-		stats := coll.Stats()
-		fmt.Printf("xfragserver: %d document(s), %d nodes, %d postings — listening on %s\n",
-			stats.Documents, stats.Nodes, stats.Postings, *addr)
-		handler = httpapi.NewWithConfig(coll, cfg)
 	}
+	var handler http.Handler = httpapi.NewStoreWithConfig(st, cfg)
 
 	if *pprofOn {
 		// Mount the API beside the debug endpoints on a wrapper mux so
@@ -328,11 +321,9 @@ func main() {
 			follower.Wait()
 			fmt.Println("xfragserver: replication streams stopped")
 		}
-		if st != nil {
-			if err := st.Close(shutCtx); err != nil {
-				log.Fatalf("store close: %v", err)
-			}
-			fmt.Println("xfragserver: ingest queue drained, WAL synced")
+		if err := st.Close(shutCtx); err != nil {
+			log.Fatalf("store close: %v", err)
 		}
+		fmt.Println("xfragserver: ingest queue drained, store closed (WAL synced if durable)")
 	}
 }

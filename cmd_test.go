@@ -194,6 +194,44 @@ func TestCLIServer(t *testing.T) {
 	if body.Total != 4 {
 		t.Fatalf("total = %d, want 4", body.Total)
 	}
+
+	// Without -data-dir the server runs on an in-memory store, which
+	// takes async ingest: 202 with a job ID, and the job reaches done.
+	resp, err = http.Post("http://127.0.0.1:18472/api/v1/docs?async=1", "application/json",
+		strings.NewReader(`{"name":"async.xml","xml":"<doc><p>xquery optimization async</p></doc>"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted struct {
+		Job string `json:"job"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&accepted)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil || accepted.Job == "" {
+		t.Fatalf("async add: status %d, job %q, err %v", resp.StatusCode, accepted.Job, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err = http.Get("http://127.0.0.1:18472/api/v1/jobs/" + accepted.Job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job struct {
+			Status string `json:"status"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("job status: %d %v", resp.StatusCode, err)
+		}
+		if job.Status == "done" {
+			break
+		}
+		if job.Status == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job %s ended %q", accepted.Job, job.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func TestCLIDotOutput(t *testing.T) {

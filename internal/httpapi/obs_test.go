@@ -3,15 +3,36 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/collection"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
+
+// shardSum adds up one engine series over the per-shard registries of
+// a /api/v1/metrics body: counters by value, histograms by count.
+func shardSum(t *testing.T, body map[string]any, name string) float64 {
+	t.Helper()
+	shards, ok := body["shards"].([]any)
+	if !ok {
+		t.Fatalf("metrics body has no shards array: %v", body)
+	}
+	var sum float64
+	for _, sh := range shards {
+		switch v := sh.(map[string]any)[name].(type) {
+		case float64:
+			sum += v
+		case map[string]any:
+			sum += v["count"].(float64)
+		}
+	}
+	return sum
+}
 
 func TestMetricsEndpointJSON(t *testing.T) {
 	s := testServer(t)
@@ -23,12 +44,13 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics = %d", rec.Code)
 	}
-	if q, ok := body[obs.MQueries].(float64); !ok || q < 1 {
-		t.Fatalf("%s = %v, want >= 1", obs.MQueries, body[obs.MQueries])
+	// Evaluation series live in the per-shard engine registries.
+	if q := shardSum(t, body, obs.MQueries); q < 1 {
+		t.Fatalf("%s = %v, want >= 1", obs.MQueries, q)
 	}
 	// The auto search enumerates its answers and joins nothing.
-	if n, ok := body[obs.MEnumNodes].(float64); !ok || n < 1 {
-		t.Fatalf("%s = %v, want >= 1", obs.MEnumNodes, body[obs.MEnumNodes])
+	if n := shardSum(t, body, obs.MEnumNodes); n < 1 {
+		t.Fatalf("%s = %v, want >= 1", obs.MEnumNodes, n)
 	}
 	if rec, _ := get(t, s, "/api/v1/search?q=XQuery+optimization&filter=size<=3&strategy=push-down"); rec.Code != http.StatusOK {
 		t.Fatalf("push-down search = %d", rec.Code)
@@ -36,15 +58,11 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if rec, body = get(t, s, "/api/v1/metrics"); rec.Code != http.StatusOK {
 		t.Fatalf("metrics = %d", rec.Code)
 	}
-	if j, ok := body[obs.MJoins].(float64); !ok || j < 1 {
-		t.Fatalf("%s = %v, want >= 1", obs.MJoins, body[obs.MJoins])
+	if j := shardSum(t, body, obs.MJoins); j < 1 {
+		t.Fatalf("%s = %v, want >= 1", obs.MJoins, j)
 	}
-	hist, ok := body[obs.MQuerySeconds].(map[string]any)
-	if !ok {
-		t.Fatalf("%s missing: %v", obs.MQuerySeconds, body)
-	}
-	if hist["count"].(float64) < 1 {
-		t.Fatalf("latency histogram count = %v", hist["count"])
+	if n := shardSum(t, body, obs.MQuerySeconds); n < 1 {
+		t.Fatalf("latency histogram count = %v", n)
 	}
 }
 
@@ -63,10 +81,13 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 	out := rec.Body.String()
+	// Evaluation series carry the prefix of the shard that holds the
+	// document; HTTP series sit in the store registry.
+	shard := fmt.Sprintf("xfrag_shard%d_", s.st.ShardIndex("figure1.xml"))
 	for _, want := range []string{
-		"# TYPE xfrag_queries_total counter",
-		"# TYPE xfrag_query_seconds histogram",
-		`xfrag_query_seconds_bucket{le="+Inf"}`,
+		"# TYPE " + shard + "queries_total counter",
+		"# TYPE " + shard + "query_seconds histogram",
+		shard + `query_seconds_bucket{le="+Inf"}`,
 		"# TYPE xfrag_http_requests_total counter",
 	} {
 		if !strings.Contains(out, want) {
@@ -123,8 +144,7 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 
 func TestRequestLogging(t *testing.T) {
 	var logBuf bytes.Buffer
-	coll := collection.New()
-	s := NewWithLogger(coll, slog.New(slog.NewTextHandler(&logBuf, nil)))
+	s, _ := storeServer(t, store.Options{}, Config{Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	log := logBuf.String()

@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/collection"
-	"repro/internal/docgen"
 )
 
 // BenchmarkOverloadShedding drives the server far past its admission
@@ -18,11 +15,7 @@ import (
 // admitted requests evaluate normally. The custom metrics report the
 // shed fraction and the mean cost of one shed.
 func BenchmarkOverloadShedding(b *testing.B) {
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		b.Fatal(err)
-	}
-	s := NewWithConfig(coll, Config{
+	s := figureServer(b, Config{
 		MaxConcurrent: 2,
 		MaxQueue:      2,
 		QueueWait:     time.Millisecond,

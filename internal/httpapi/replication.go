@@ -88,7 +88,7 @@ func (s *Server) initReplication() {
 	}
 	switch rc.Role {
 	case RolePrimary:
-		if s.st == nil || !s.st.Durable() {
+		if !s.st.Durable() {
 			panic("httpapi: primary role requires a durable store (-data-dir)")
 		}
 		stream := rc.Stream

@@ -1,4 +1,4 @@
-// Package httpapi exposes a collection of XML documents as a JSON
+// Package httpapi exposes a document store (internal/store) as a JSON
 // search service — the downstream-facing surface of the library: add
 // documents, run keyword/filter queries, inspect plans. Stdlib
 // net/http only.
@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/cost"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/standing"
@@ -38,6 +37,11 @@ import (
 // endpoints: larger values get a 400 instead of an unbounded response
 // body.
 const maxSearchLimit = 1000
+
+// maxSearchWindow caps offset+limit: every shard keeps that many hits
+// in its top-k, so a deeper page gets a 400 instead of a top-k sized
+// by the client.
+const maxSearchWindow = 10000
 
 // Config tunes the server's robustness knobs. The zero value is
 // usable: no default evaluation deadline, admission sized from
@@ -112,16 +116,12 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Server routes HTTP requests to a collection, or — when constructed
-// with NewWithStore — to a durable sharded store, which additionally
-// serves the async ingest endpoints (POST /api/v1/docs?async=1,
-// GET /api/v1/jobs/{id}).
+// Server routes HTTP requests to a sharded document store: durable
+// with a data directory, in-memory without one.
 type Server struct {
-	coll    *collection.Collection // nil when store-backed
-	st      *store.Store           // nil when collection-backed
+	st      *store.Store
 	cfg     Config
-	adm     *admission   // nil when admission control is disabled
-	m       *obs.Metrics // backing registry, for shed/inflight series
+	adm     *admission // nil when admission control is disabled
 	rec     *obs.Recorder
 	reg     *standing.Registry // nil when the watch API is disabled
 	routes  []routeDef
@@ -133,55 +133,18 @@ type Server struct {
 	sampleSeq   atomic.Uint64
 }
 
-// New wraps a collection without an access log. Pass nil to start
-// empty. Request IDs, panic recovery and HTTP metrics are still
-// active; use NewWithLogger to also log requests.
-func New(coll *collection.Collection) *Server {
-	return NewWithConfig(coll, Config{})
-}
-
-// NewWithLogger wraps a collection with the full request middleware:
-// structured access logging to logger (nil disables logging only),
-// request IDs, panic recovery, and HTTP metrics recorded into the
-// collection's registry.
-func NewWithLogger(coll *collection.Collection, logger *slog.Logger) *Server {
-	return NewWithConfig(coll, Config{Logger: logger})
-}
-
-// NewWithConfig wraps a collection with explicit robustness settings.
-// Pass nil to start empty.
-func NewWithConfig(coll *collection.Collection, cfg Config) *Server {
-	if coll == nil {
-		coll = collection.New()
-	}
-	s := &Server{coll: coll, cfg: cfg}
-	s.init(coll.Metrics())
-	return s
-}
-
-// NewWithStore wraps a durable sharded store. Search runs under the
+// NewStoreWithConfig serves a store under cfg. Search runs under the
 // request context (deadline-aware scatter-gather); POST
 // /api/v1/docs?async=1 enqueues into the ingest pipeline and GET
 // /api/v1/jobs/{id} polls job status. HTTP metrics land in the
 // store's registry.
-func NewWithStore(st *store.Store, logger *slog.Logger) *Server {
-	return NewStoreWithConfig(st, Config{Logger: logger})
-}
-
-// NewStoreWithConfig wraps a durable sharded store with explicit
-// robustness settings.
 func NewStoreWithConfig(st *store.Store, cfg Config) *Server {
 	s := &Server{st: st, cfg: cfg}
-	s.init(st.Metrics())
-	return s
-}
-
-func (s *Server) init(m *obs.Metrics) {
 	s.cfg.setDefaults()
+	m := st.Metrics()
 	if s.cfg.MaxConcurrent > 0 {
 		s.adm = newAdmission(s.cfg.MaxConcurrent, s.cfg.MaxQueue, s.cfg.QueueWait)
 	}
-	s.m = m
 	s.rec = s.cfg.Recorder
 	if s.rec == nil {
 		s.rec = obs.NewRecorder(s.cfg.TraceBuffer, s.cfg.SlowQueryThreshold)
@@ -192,11 +155,9 @@ func (s *Server) init(m *obs.Metrics) {
 			s.sampleEvery = 1
 		}
 	}
-	if s.st != nil {
-		// The store's async ingest workers continue request traces; they
-		// need the recorder to land the continuation in.
-		s.st.SetTraceRecorder(s.rec)
-	}
+	// The store's async ingest workers continue request traces; they
+	// need the recorder to land the continuation in.
+	st.SetTraceRecorder(s.rec)
 	// Constant 1-valued gauge carrying version/revision labels — the
 	// Prometheus build-info convention.
 	m.Gauge(obs.BuildInfoSeries()).Set(1)
@@ -204,18 +165,13 @@ func (s *Server) init(m *obs.Metrics) {
 		// The standing-query registry taps the corpus change feed —
 		// the same hook primary ingest, replica WAL apply and snapshot
 		// bootstrap all flow through — so watch subscriptions work
-		// identically on a primary, a replica, and an in-memory
-		// collection.
-		s.reg = standing.NewRegistry(s.corpus(), standing.Options{
+		// identically on a primary, a replica, and an in-memory store.
+		s.reg = standing.NewRegistry(st, standing.Options{
 			MaxSubscriptions: s.cfg.MaxSubscriptions,
 			Buffer:           s.cfg.WatchBuffer,
 			Metrics:          m,
 		})
-		if s.st != nil {
-			s.st.SetChangeListener(s.reg.Notify)
-		} else {
-			s.coll.SetChangeListener(s.reg.Notify)
-		}
+		st.SetChangeListener(s.reg.Notify)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -223,7 +179,7 @@ func (s *Server) init(m *obs.Metrics) {
 	s.addRoute("GET", "/docs", "List indexed documents.", nil, s.handleListDocs)
 	s.addRoute("POST", "/docs", "Add (or asynchronously enqueue) an XML document.", []routeParam{
 		bp("name", "document name"), bp("xml", "document body"),
-		qp("async", "1 enqueues into the ingest pipeline (store-backed servers), answering 202 with a job ID"),
+		qp("async", "1 enqueues into the ingest pipeline, answering 202 with a job ID"),
 	}, s.handleAddDoc)
 	s.addRoute("DELETE", "/docs/{name}", "Remove one document.", []routeParam{
 		pp("name", "document name"),
@@ -282,20 +238,12 @@ func (s *Server) init(m *obs.Metrics) {
 	// on the response when the sampler runs, so a sampled root span can
 	// carry it.
 	s.handler = Middleware(s.traceMiddleware(inner), s.cfg.Logger, m)
+	return s
 }
 
 // Recorder returns the server's flight recorder (never nil after
 // construction): the store the debug endpoints read from.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
-
-// corpus returns the backing document source as the standing-query
-// Corpus view (both backends satisfy it).
-func (s *Server) corpus() standing.Corpus {
-	if s.st != nil {
-		return s.st
-	}
-	return s.coll
-}
 
 // Watch returns the standing-query registry (nil when the watch API
 // is disabled via a negative MaxSubscriptions).
@@ -303,27 +251,15 @@ func (s *Server) Watch() *standing.Registry { return s.reg }
 
 // Close releases the server's background resources: the standing-query
 // delta worker stops and every live subscription is canceled. The
-// backing collection/store is the caller's to close.
+// backing store is the caller's to close.
 func (s *Server) Close() {
 	if s.reg != nil {
 		s.reg.Close()
 	}
 }
 
-// Collection returns the backing collection (nil when the server is
-// store-backed; see Store).
-func (s *Server) Collection() *collection.Collection { return s.coll }
-
-// Store returns the backing store (nil when collection-backed).
+// Store returns the backing store.
 func (s *Server) Store() *store.Store { return s.st }
-
-// docCount reports the number of indexed documents on either backend.
-func (s *Server) docCount() int {
-	if s.st != nil {
-		return s.st.Len()
-	}
-	return s.coll.Len()
-}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -333,18 +269,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // handleHealth is pure liveness: the process is up and serving. Load
 // balancers should route on /readyz instead.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	body := map[string]any{"status": "ok", "documents": s.docCount()}
-	if s.st != nil {
-		body["ingest_queue_depth"] = s.st.QueueDepth()
-		body["shards"] = s.st.Shards()
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":             "ok",
+		"documents":          s.st.Len(),
+		"ingest_queue_depth": s.st.QueueDepth(),
+		"shards":             s.st.Shards(),
+	})
 }
 
 // handleReady is readiness: 503 while the node should not receive
 // traffic — during WAL replay, after a failed background replay, or
-// while the ingest queue is saturated. A collection-backed server has
-// no replay or queue and is always ready.
+// while the ingest queue is saturated. A replica is ready while its
+// replication lag stays within the staleness bound.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.role() == RoleReplica {
 		// A replica's readiness is its freshness: a node lagging past
@@ -365,10 +301,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, status, body)
 		return
 	}
-	if s.st == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "documents": s.coll.Len()})
-		return
-	}
 	rd := s.st.Readiness()
 	status := http.StatusOK
 	if !rd.Ready {
@@ -385,15 +317,10 @@ type DocInfo struct {
 }
 
 func (s *Server) handleListDocs(w http.ResponseWriter, _ *http.Request) {
-	names := func() []string {
-		if s.st != nil {
-			return s.st.Names()
-		}
-		return s.coll.Names()
-	}()
-	var docs []DocInfo
-	for _, name := range names {
-		eng := s.engine(name)
+	// docs starts empty, not nil: an empty server encodes "documents": [].
+	docs := []DocInfo{}
+	for _, name := range s.st.Names() {
+		eng := s.st.Engine(name)
 		if eng == nil { // removed between listing and lookup
 			continue
 		}
@@ -427,10 +354,6 @@ func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("async") == "1" {
-		if s.st == nil {
-			s.error(w, http.StatusBadRequest, "bad_request", errors.New("async ingest requires a store-backed server (run with -data-dir)"))
-			return
-		}
 		// A traced submit hands its trace ID to the ingest pipeline:
 		// the worker records the parse/index as a continuation trace
 		// under the same ID (see store.EnqueueTraced).
@@ -456,13 +379,7 @@ func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, map[string]any{"job": id, "document": req.Name})
 		return
 	}
-	var err error
-	if s.st != nil {
-		err = s.st.AddXML(req.Name, req.XML)
-	} else {
-		err = s.coll.AddXML(req.Name, req.XML)
-	}
-	switch {
+	switch err := s.st.AddXML(req.Name, req.XML); {
 	case errors.Is(err, store.ErrReplaying):
 		w.Header().Set("Retry-After", "1")
 		s.error(w, http.StatusServiceUnavailable, "not_ready", err)
@@ -477,10 +394,6 @@ func (s *Server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 // handleJob serves GET /api/v1/jobs/{id}: the status of one async
 // ingest job.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if s.st == nil {
-		s.error(w, http.StatusNotFound, "not_found", errors.New("no async ingest on this server"))
-		return
-	}
 	id := r.PathValue("id")
 	job, ok := s.st.Job(id)
 	if !ok {
@@ -495,25 +408,11 @@ func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	removed := false
-	if s.st != nil {
-		removed = s.st.Remove(name)
-	} else {
-		removed = s.coll.Remove(name)
-	}
-	if !removed {
+	if !s.st.Remove(name) {
 		s.error(w, http.StatusNotFound, "not_found", fmt.Errorf("no document %q", name))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"removed": name})
-}
-
-// engine looks up a per-document engine on either backend.
-func (s *Server) engine(name string) *engine.Engine {
-	if s.st != nil {
-		return s.st.Engine(name)
-	}
-	return s.coll.Engine(name)
 }
 
 // SearchHit is one result of GET /api/v1/search.
@@ -534,7 +433,7 @@ type SearchResponse struct {
 	Filter   string      `json:"filter,omitempty"`
 	Strategy string      `json:"strategy"`
 	Hits     []SearchHit `json:"hits"`
-	// Total counts every hit across the collection; Returned counts
+	// Total counts every hit across the store; Returned counts
 	// the hits actually present in Hits after limit/offset.
 	Total    int `json:"total"`
 	Returned int `json:"returned"`
@@ -561,14 +460,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 		// Queue wait is the admission stage: how long the request sat
 		// waiting for an evaluation slot before any work started.
 		wait := time.Since(waitStart)
-		s.m.ObserveStage(obs.StageAdmission, wait)
+		s.st.Metrics().ObserveStage(obs.StageAdmission, wait)
 		if sp := obs.SpanFromContext(r.Context()); sp != nil {
 			sp.SetAttr("admission_wait", wait.String())
 		}
-		s.m.Gauge(obs.MInflightQueries).Set(int64(s.adm.inflight()))
+		s.st.Metrics().Gauge(obs.MInflightQueries).Set(int64(s.adm.inflight()))
 		return true
 	case errors.Is(err, errShed):
-		s.m.Counter(obs.MQueriesShed).Add(1)
+		s.st.Metrics().Counter(obs.MQueriesShed).Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.error(w, http.StatusServiceUnavailable, "overloaded", errors.New("server overloaded; retry later"))
 	default:
@@ -581,7 +480,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 func (s *Server) release() {
 	if s.adm != nil {
 		s.adm.release()
-		s.m.Gauge(obs.MInflightQueries).Set(int64(s.adm.inflight()))
+		s.st.Metrics().Gauge(obs.MInflightQueries).Set(int64(s.adm.inflight()))
 	}
 }
 
@@ -644,6 +543,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = n
 	}
+	// Compared without overflow: offset can be anything up to MaxInt.
+	if offset > maxSearchWindow-limit {
+		s.error(w, http.StatusBadRequest, "bad_request", fmt.Errorf("offset %d + limit %d exceeds maximum window %d", offset, limit, maxSearchWindow))
+		return
+	}
 	q, err := query.Parse(keywords, filterSpec)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, "bad_request", err)
@@ -659,7 +563,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// the spans of a real evaluation.
 	if s.reg != nil && obs.TraceFromContext(r.Context()) == nil {
 		if sub, ok := s.reg.Lookup(q, opts); ok {
-			s.m.Counter(obs.MStandingCacheHits).Add(1)
+			s.st.Metrics().Counter(obs.MStandingCacheHits).Add(1)
 			vhits := sub.Snapshot()
 			resp.Total = len(vhits)
 			if offset < len(vhits) {
@@ -689,28 +593,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	var (
-		hits []collection.Hit
-		errs map[string]error
-	)
-	if s.st != nil {
-		// Store-backed: deadline-aware scatter-gather with a global
-		// top-k merge — the context carries the client disconnect and
-		// the evaluation deadline down to the per-shard join loops.
-		res, err := s.st.Run(ctx, q, opts, offset+limit)
-		if err != nil {
-			s.error(w, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-		hits, errs, resp.Total = res.Hits, res.Errors, res.Total
-	} else {
-		res, err := s.coll.RunTopOn(ctx, q, opts, nil, offset+limit)
-		if err != nil {
-			s.error(w, http.StatusBadRequest, "bad_request", err)
-			return
-		}
-		hits, errs, resp.Total = res.Hits, res.Errors, res.Total
+	// Deadline-aware scatter-gather with a global top-k merge: the
+	// context carries the client disconnect and the evaluation deadline
+	// down to the per-shard join loops.
+	res, err := s.st.Run(ctx, q, opts, offset+limit)
+	if err != nil {
+		s.error(w, http.StatusBadRequest, "bad_request", err)
+		return
 	}
+	hits := res.Hits
+	resp.Total = res.Total
 	if offset < len(hits) {
 		hits = hits[offset:]
 	} else {
@@ -723,7 +615,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.Hits = append(resp.Hits, toHit(h))
 	}
 	resp.Returned = len(resp.Hits)
-	for name, e := range errs {
+	for name, e := range res.Errors {
 		if resp.Errors == nil {
 			resp.Errors = map[string]string{}
 		}
@@ -787,36 +679,34 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		"physical": q.PhysicalPlan(strat).Render(),
 		"strategy": strat.String(),
 	}
-	if s.st != nil {
-		// The adaptive planner's view: the compiled plan each shard's
-		// plan cache would serve this query on the auto path, with the
-		// statistics it was derived from. Served through the real
-		// caches, so outcome shows hit/miss/replan as a search would.
-		plans := s.st.ExplainPlans(q, cost.DefaultChooser())
-		shardPlans := make([]map[string]any, 0, len(plans))
-		for _, sp := range plans {
-			entry := map[string]any{
-				"shard":   sp.Shard,
-				"outcome": sp.Outcome.String(),
-			}
-			if p := sp.Plan; p != nil {
-				strats := make([]string, len(p.SetStrategies))
-				for i, ss := range p.SetStrategies {
-					strats[i] = ss.String()
-				}
-				entry["strategy"] = p.Strategy.String()
-				entry["set_strategies"] = strats
-				entry["rf_estimates"] = p.RFs
-				entry["expected_seeds"] = p.ExpectedSeeds
-				entry["join_order"] = p.Order
-				entry["stats_epoch"] = p.Epoch
-				entry["docs"] = p.Docs
-				entry["physical"] = q.PhysicalPlanFor(p.Strategy, p).Render()
-			}
-			shardPlans = append(shardPlans, entry)
+	// The adaptive planner's view: the compiled plan each shard's plan
+	// cache would serve this query on the auto path, with the
+	// statistics it was derived from. Served through the real caches,
+	// so outcome shows hit/miss/replan as a search would.
+	plans := s.st.ExplainPlans(q, cost.DefaultChooser())
+	shardPlans := make([]map[string]any, 0, len(plans))
+	for _, sp := range plans {
+		entry := map[string]any{
+			"shard":   sp.Shard,
+			"outcome": sp.Outcome.String(),
 		}
-		body["plan"] = shardPlans
+		if p := sp.Plan; p != nil {
+			strats := make([]string, len(p.SetStrategies))
+			for i, ss := range p.SetStrategies {
+				strats[i] = ss.String()
+			}
+			entry["strategy"] = p.Strategy.String()
+			entry["set_strategies"] = strats
+			entry["rf_estimates"] = p.RFs
+			entry["expected_seeds"] = p.ExpectedSeeds
+			entry["join_order"] = p.Order
+			entry["stats_epoch"] = p.Epoch
+			entry["docs"] = p.Docs
+			entry["physical"] = q.PhysicalPlanFor(p.Strategy, p).Render()
+		}
+		shardPlans = append(shardPlans, entry)
 	}
+	body["plan"] = shardPlans
 	if qs.Get("trace") == "1" {
 		// Run the query for real with span recording: the plan above is
 		// the static picture, the trace is what actually executed (per
@@ -834,63 +724,33 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.release()
-		var (
-			spanByDoc map[string]*obs.Span
-			statByDoc map[string]query.Stats
-		)
-		if s.st != nil {
-			res, err := s.st.Run(ctx, q, opts, 0)
-			if err != nil {
-				s.error(w, http.StatusBadRequest, "bad_request", err)
-				return
-			}
-			spanByDoc, statByDoc = res.Traces, res.PerDocument
-		} else {
-			res, err := s.coll.RunContext(ctx, q, opts)
-			if err != nil {
-				s.error(w, http.StatusBadRequest, "bad_request", err)
-				return
-			}
-			spanByDoc, statByDoc = res.Traces, res.PerDocument
+		res, err := s.st.Run(ctx, q, opts, 0)
+		if err != nil {
+			s.error(w, http.StatusBadRequest, "bad_request", err)
+			return
 		}
-		traces := make(map[string]any, len(spanByDoc))
-		rendered := make(map[string]string, len(spanByDoc))
-		for name, sp := range spanByDoc {
+		traces := make(map[string]any, len(res.Traces))
+		rendered := make(map[string]string, len(res.Traces))
+		for name, sp := range res.Traces {
 			traces[name] = sp
 			rendered[name] = sp.Render()
 		}
 		body["traces"] = traces
 		body["rendered"] = rendered
-		stats := make(map[string]query.Stats, len(statByDoc))
-		for name, st := range statByDoc {
-			stats[name] = st
-		}
-		body["stats"] = stats
+		body["stats"] = res.PerDocument
 	}
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleMetrics serves the backing registry: JSON by default,
-// Prometheus text exposition with ?format=prom. A store-backed server
-// exports the store registry (ingest/WAL/search metrics, incl. the
-// queue-depth gauge and ingest-latency histogram) at the top level
-// plus each shard's engine registry — as a "shards" array in JSON and
-// under an xfrag_shard<N> prefix in Prometheus format.
+// handleMetrics serves the backing registries: JSON by default,
+// Prometheus text exposition with ?format=prom. The store registry
+// (HTTP, ingest/WAL/search metrics, incl. the queue-depth gauge and
+// ingest-latency histogram) sits at the top level, each shard's
+// engine registry (query, join and enumeration series) as a "shards"
+// array in JSON and under an xfrag_shard<N> prefix in Prometheus
+// format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	prom := r.URL.Query().Get("format") == "prom"
-	if s.st == nil {
-		m := s.coll.Metrics()
-		if prom {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			m.WritePrometheus(w, "xfrag")
-			return
-		}
-		body := m.Snapshot()
-		body["build_info"] = obs.BuildInfo()
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	if prom {
+	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.st.Metrics().WritePrometheus(w, "xfrag")
 		for i, m := range s.st.ShardMetrics() {
@@ -909,17 +769,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var (
-		st     collection.Stats
-		engReg []*obs.Metrics
-	)
-	if s.st != nil {
-		st, engReg = s.st.Stats(), s.st.ShardMetrics()
-	} else {
-		st, engReg = s.coll.Stats(), []*obs.Metrics{s.coll.Metrics()}
-	}
+	st := s.st.Stats()
 	var joins uint64
-	for _, m := range engReg {
+	for _, m := range s.st.ShardMetrics() {
 		joins += m.Counter(obs.MJoins).Value()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -1,23 +1,53 @@
 package httpapi
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
 	"repro/internal/collection"
 	"repro/internal/docgen"
+	"repro/internal/query"
+	"repro/internal/store"
+	"repro/internal/xmltree"
 )
+
+// storeServer opens a store under opts, adds docs to it and serves it
+// under cfg. Server and store are closed when the test ends.
+func storeServer(t testing.TB, opts store.Options, cfg Config, docs ...*xmltree.Document) (*Server, *store.Store) {
+	t.Helper()
+	st, err := store.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close(context.Background()) })
+	for _, d := range docs {
+		if err := st.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewStoreWithConfig(st, cfg)
+	t.Cleanup(s.Close)
+	return s, st
+}
+
+// figureServer serves the Figure 1 document from an in-memory store
+// under cfg.
+func figureServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, _ := storeServer(t, store.Options{}, cfg, docgen.FigureOne())
+	return s
+}
 
 func testServer(t testing.TB) *Server {
 	t.Helper()
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	return New(coll)
+	return figureServer(t, Config{})
 }
 
 func get(t testing.TB, s *Server, path string) (*httptest.ResponseRecorder, map[string]any) {
@@ -190,10 +220,17 @@ func TestMethodRouting(t *testing.T) {
 }
 
 func TestNewNilCollection(t *testing.T) {
-	s := New(nil)
+	s, _ := storeServer(t, store.Options{}, Config{})
 	rec, body := get(t, s, "/healthz")
 	if rec.Code != http.StatusOK || body["documents"].(float64) != 0 {
-		t.Fatalf("nil-collection server broken: %d %v", rec.Code, body)
+		t.Fatalf("empty server broken: %d %v", rec.Code, body)
+	}
+	// An empty listing is an empty array, as on /api/v1/watch and
+	// search, not null.
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/docs", nil))
+	if got := strings.TrimSpace(rec.Body.String()); got != `{"documents":[]}` {
+		t.Fatalf("empty listing = %s", got)
 	}
 }
 
@@ -221,8 +258,8 @@ func TestRemoveDocEndpoint(t *testing.T) {
 	}
 	// Gone from the listing.
 	_, body := get(t, s, "/api/v1/docs")
-	if body["documents"] != nil {
-		t.Fatalf("documents after delete = %v", body["documents"])
+	if docs, ok := body["documents"].([]any); !ok || len(docs) != 0 {
+		t.Fatalf("documents after delete = %v, want []", body["documents"])
 	}
 	// Second delete 404s.
 	rec2 := httptest.NewRecorder()
@@ -248,5 +285,75 @@ func TestSearchWithDisjunctionOverHTTP(t *testing.T) {
 	// Disjunctive hits must carry real (non-zero) scores.
 	if resp.Hits[0].Score <= 0 {
 		t.Fatalf("top score = %v", resp.Hits[0].Score)
+	}
+}
+
+// TestSearchMatchesCollectionRunTop pins that serving from a sharded
+// in-memory store changes no answer: every /api/v1/search page is
+// byte-identical to the page cut from one collection.RunTopOn over
+// the same documents — hits (document, nodes, root, size, score bits,
+// snippet), total and the echoed window.
+func TestSearchMatchesCollectionRunTop(t *testing.T) {
+	docs := []*xmltree.Document{docgen.FigureOne()}
+	for i := 0; i < 4; i++ {
+		d, err := docgen.Generate(docgen.Config{
+			Name: fmt.Sprintf("gen%d.xml", i), Seed: int64(i + 1), Sections: 3, MeanFanout: 3, Depth: 2,
+			VocabSize: 200, ParLength: 10, Plant: map[string]int{"xquery": 2 + i, "optimization": 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	coll := collection.New()
+	for _, d := range docs {
+		if err := coll.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []struct{ q, filter string }{
+		{"xquery optimization", "size<=3"},
+		{"xquery optimization", "size<=5,height<=2"},
+		{"xquery rewriting|optimization", "size<=4"},
+		{"xquery", ""},
+	}
+	pages := []struct{ limit, offset int }{{20, 0}, {1, 0}, {1, 1}, {3, 2}, {5, 7}, {1000, 0}, {10, 100}}
+	for _, shards := range []int{0, 3} {
+		s, _ := storeServer(t, store.Options{Shards: shards}, Config{}, docs...)
+		for _, qc := range queries {
+			q, err := query.Parse(qc.q, qc.filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pages {
+				res, err := coll.RunTopOn(context.Background(), q, query.Options{Auto: true}, nil, p.offset+p.limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := SearchResponse{Query: qc.q, Filter: qc.filter, Strategy: "auto", Hits: []SearchHit{},
+					Total: res.Total, Limit: p.limit, Offset: p.offset}
+				for i := p.offset; i < len(res.Hits) && len(want.Hits) < p.limit; i++ {
+					want.Hits = append(want.Hits, toHit(res.Hits[i]))
+				}
+				want.Returned = len(want.Hits)
+				wantBody, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := fmt.Sprintf("/api/v1/search?q=%s&filter=%s&limit=%d&offset=%d",
+					url.QueryEscape(qc.q), url.QueryEscape(qc.filter), p.limit, p.offset)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%d shards, %s: code %d: %s", shards, path, rec.Code, rec.Body)
+				}
+				if got := bytes.TrimSpace(rec.Body.Bytes()); !bytes.Equal(got, wantBody) {
+					t.Fatalf("%d shards, %s:\n got %s\nwant %s", shards, path, got, wantBody)
+				}
+				if p.offset == 0 && p.limit == 20 && res.Total == 0 {
+					t.Fatalf("%q %q matches nothing; the comparison is vacuous", qc.q, qc.filter)
+				}
+			}
+		}
 	}
 }

@@ -13,16 +13,6 @@ import (
 	"repro/internal/store"
 )
 
-func storeServer(t *testing.T, opts store.Options) (*Server, *store.Store) {
-	t.Helper()
-	st, err := store.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close(context.Background()) })
-	return NewWithStore(st, nil), st
-}
-
 func postDoc(t *testing.T, s *Server, path, name, xml string) *httptest.ResponseRecorder {
 	t.Helper()
 	body := fmt.Sprintf(`{"name":%q,"xml":%q}`, name, xml)
@@ -33,7 +23,7 @@ func postDoc(t *testing.T, s *Server, path, name, xml string) *httptest.Response
 }
 
 func TestAsyncIngestOverHTTP(t *testing.T) {
-	s, st := storeServer(t, store.Options{Shards: 4, IngestWorkers: 2})
+	s, st := storeServer(t, store.Options{Shards: 4, IngestWorkers: 2}, Config{})
 	w := postDoc(t, s, "/api/v1/docs?async=1", "async.xml", "<doc><par>xquery async ingest</par></doc>")
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("async add: %d %s", w.Code, w.Body)
@@ -93,22 +83,8 @@ func TestAsyncIngestOverHTTP(t *testing.T) {
 	}
 }
 
-func TestAsyncRequiresStore(t *testing.T) {
-	s := New(nil)
-	w := postDoc(t, s, "/api/v1/docs?async=1", "a.xml", "<a>x</a>")
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("async on collection-backed server: %d, want 400", w.Code)
-	}
-	req := httptest.NewRequest("GET", "/api/v1/jobs/job-1", nil)
-	jw := httptest.NewRecorder()
-	s.ServeHTTP(jw, req)
-	if jw.Code != http.StatusNotFound {
-		t.Fatalf("jobs on collection-backed server: %d, want 404", jw.Code)
-	}
-}
-
 func TestJobNotFound(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 2})
+	s, _ := storeServer(t, store.Options{Shards: 2}, Config{})
 	req := httptest.NewRequest("GET", "/api/v1/jobs/job-42", nil)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
@@ -118,7 +94,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 func TestStoreBackedCRUDAndStats(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 4})
+	s, _ := storeServer(t, store.Options{Shards: 4}, Config{})
 	for i := 0; i < 6; i++ {
 		w := postDoc(t, s, "/api/v1/docs", fmt.Sprintf("d%d.xml", i), "<doc><par>xquery shard test</par></doc>")
 		if w.Code != http.StatusCreated {
@@ -180,7 +156,7 @@ func TestStoreBackedCRUDAndStats(t *testing.T) {
 }
 
 func TestStoreMetricsEndpoint(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 2})
+	s, _ := storeServer(t, store.Options{Shards: 2}, Config{})
 	if w := postDoc(t, s, "/api/v1/docs", "m.xml", "<doc><par>metric doc</par></doc>"); w.Code != http.StatusCreated {
 		t.Fatalf("add: %d", w.Code)
 	}
@@ -233,7 +209,7 @@ func TestStoreMetricsEndpoint(t *testing.T) {
 // adaptive planner's per-shard compiled plan: strategies, statistics
 // estimates, join order and cache outcome.
 func TestExplainPlanOverHTTP(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 2})
+	s, _ := storeServer(t, store.Options{Shards: 2}, Config{})
 	if w := postDoc(t, s, "/api/v1/docs", "p.xml", "<doc><sec>xquery plans</sec><sec>xquery costs</sec></doc>"); w.Code != http.StatusCreated {
 		t.Fatalf("add: %d", w.Code)
 	}
@@ -267,7 +243,7 @@ func TestExplainPlanOverHTTP(t *testing.T) {
 }
 
 func TestSearchDeadlineOverHTTP(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 4})
+	s, _ := storeServer(t, store.Options{Shards: 4}, Config{})
 	for i := 0; i < 8; i++ {
 		if w := postDoc(t, s, "/api/v1/docs", fmt.Sprintf("t%d.xml", i), "<doc><par>timeout probe</par></doc>"); w.Code != http.StatusCreated {
 			t.Fatalf("add: %d", w.Code)
@@ -296,7 +272,7 @@ func TestSearchDeadlineOverHTTP(t *testing.T) {
 // prefix whatever k is: the pages' union is the unpaged list, in order,
 // with no hit repeated and none skipped.
 func TestStorePaginationThroughTies(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 2})
+	s, _ := storeServer(t, store.Options{Shards: 2}, Config{})
 	const sec = "<s><p>foo</p><p>bar</p></s>"
 	if w := postDoc(t, s, "/api/v1/docs", "ties.xml", "<a>"+sec+sec+sec+"</a>"); w.Code != http.StatusCreated {
 		t.Fatalf("add: %d %s", w.Code, w.Body)

@@ -9,24 +9,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collection"
 	"repro/internal/docgen"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/store"
 )
 
-func newTracedCollectionServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	return NewWithConfig(coll, cfg)
-}
-
 func TestTraceUnsampledByDefault(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{})
+	s := figureServer(t, Config{})
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, httptest.NewRequest("GET", table1Query, nil))
 	if rr.Code != http.StatusOK {
@@ -41,7 +31,7 @@ func TestTraceUnsampledByDefault(t *testing.T) {
 }
 
 func TestTraceForcedByQueryParam(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{})
+	s := figureServer(t, Config{})
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, httptest.NewRequest("GET", table1Query+"&trace=1", nil))
 	if rr.Code != http.StatusOK {
@@ -82,7 +72,7 @@ func TestTraceForcedByQueryParam(t *testing.T) {
 }
 
 func TestTraceSamplerEveryRequest(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{TraceSample: 1})
+	s := figureServer(t, Config{TraceSample: 1})
 	for i := 0; i < 3; i++ {
 		rr := httptest.NewRecorder()
 		s.ServeHTTP(rr, httptest.NewRequest("GET", table1Query, nil))
@@ -96,7 +86,7 @@ func TestTraceSamplerEveryRequest(t *testing.T) {
 }
 
 func TestTraceSamplerFraction(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{TraceSample: 0.25})
+	s := figureServer(t, Config{TraceSample: 0.25})
 	traced := 0
 	for i := 0; i < 40; i++ {
 		rr := httptest.NewRecorder()
@@ -111,7 +101,7 @@ func TestTraceSamplerFraction(t *testing.T) {
 }
 
 func TestTraceparentContinuation(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{})
+	s := figureServer(t, Config{})
 	upstream := obs.NewTraceID()
 
 	req := httptest.NewRequest("GET", table1Query, nil)
@@ -136,7 +126,7 @@ func TestTraceparentContinuation(t *testing.T) {
 }
 
 func TestTraceRequestIDPropagation(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{})
+	s := figureServer(t, Config{})
 	req := httptest.NewRequest("GET", table1Query+"&trace=1", nil)
 	req.Header.Set(RequestIDHeader, "req-client-42")
 	rr := httptest.NewRecorder()
@@ -177,7 +167,7 @@ func TestTraceFinishedOnPanic(t *testing.T) {
 
 func TestDebugEndpoints(t *testing.T) {
 	// A nanosecond threshold classifies every finished query as slow.
-	s := newTracedCollectionServer(t, Config{SlowQueryThreshold: time.Nanosecond})
+	s := figureServer(t, Config{SlowQueryThreshold: time.Nanosecond})
 
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, httptest.NewRequest("GET", table1Query+"&trace=1", nil))
@@ -235,7 +225,7 @@ func TestDebugEndpoints(t *testing.T) {
 }
 
 func TestBuildInfoExposed(t *testing.T) {
-	s := newTracedCollectionServer(t, Config{})
+	s := figureServer(t, Config{})
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/metrics", nil))
 	var body struct {

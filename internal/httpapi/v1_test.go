@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collection"
-	"repro/internal/docgen"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -117,6 +115,38 @@ func TestV1SearchPagination(t *testing.T) {
 	}
 }
 
+// TestV1SearchOffsetWindow checks that a page past maxSearchWindow is a
+// 400, never a top-k sized from offset+limit: a huge offset must not
+// overflow the sum into "keep every hit", nor reach an allocation
+// sized by it (a panic there kills the server from a worker
+// goroutine the middleware cannot recover).
+func TestV1SearchOffsetWindow(t *testing.T) {
+	s := testServer(t)
+	const q = "/api/v1/search?q=xquery+optimization&filter=size<=3"
+	for _, bad := range []string{
+		"&offset=4611686018427387904", // 2^62
+		"&offset=9223372036854775807", // MaxInt64
+		"&limit=1000&offset=9223372036854775807",
+		"&offset=" + strconv.Itoa(maxSearchWindow-20+1), // window+1 with the default limit
+		"&limit=1000&offset=" + strconv.Itoa(maxSearchWindow-1000+1),
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q+bad, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: code = %d body %s", bad, rec.Code, rec.Body)
+		}
+		var env ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "bad_request" {
+			t.Fatalf("%s: envelope = %s", bad, rec.Body)
+		}
+	}
+	// The last page inside the window still serves.
+	p := searchResp(t, s, q+"&offset="+strconv.Itoa(maxSearchWindow-20))
+	if p.Total != 4 || p.Returned != 0 {
+		t.Fatalf("offset at the window: total=%d returned=%d", p.Total, p.Returned)
+	}
+}
+
 func searchResp(t *testing.T, s *Server, path string) SearchResponse {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -136,11 +166,7 @@ func searchResp(t *testing.T, s *Server, path string) SearchResponse {
 // documents that missed the deadline reported per-document, and the
 // server cap bounds the client value.
 func TestV1SearchTimeoutParam(t *testing.T) {
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(coll, Config{QueryTimeout: time.Second, MaxTimeout: time.Second})
+	s := figureServer(t, Config{QueryTimeout: time.Second, MaxTimeout: time.Second})
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/search?q=xquery&timeout=banana", nil))
@@ -177,11 +203,7 @@ func TestV1SearchTimeoutParam(t *testing.T) {
 // taken directly on the semaphore so the test is deterministic: no
 // goroutine timing, no real slow queries.)
 func TestOverloadSheds503(t *testing.T) {
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(coll, Config{
+	s := figureServer(t, Config{
 		MaxConcurrent: 2,
 		MaxQueue:      1,
 		QueueWait:     20 * time.Millisecond,
@@ -210,7 +232,7 @@ func TestOverloadSheds503(t *testing.T) {
 	if env.Error.Code != "overloaded" {
 		t.Fatalf("error code = %q", env.Error.Code)
 	}
-	if n := s.coll.Metrics().Counter(obs.MQueriesShed).Value(); n != 1 {
+	if n := s.st.Metrics().Counter(obs.MQueriesShed).Value(); n != 1 {
 		t.Fatalf("shed counter = %d", n)
 	}
 
@@ -243,11 +265,7 @@ func TestOverloadSheds503(t *testing.T) {
 // queued request that gets a slot within QueueWait is served, not
 // shed.
 func TestOverloadQueueAdmits(t *testing.T) {
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(coll, Config{
+	s := figureServer(t, Config{
 		MaxConcurrent: 1,
 		MaxQueue:      1,
 		QueueWait:     2 * time.Second,
@@ -265,19 +283,10 @@ func TestOverloadQueueAdmits(t *testing.T) {
 	}
 }
 
-// TestReadyzCollection checks a collection-backed server is always
-// ready: no WAL, no queue, nothing to wait for.
-func TestReadyzCollection(t *testing.T) {
-	rec, body := get(t, testServer(t), "/readyz")
-	if rec.Code != http.StatusOK || body["ready"] != true {
-		t.Fatalf("readyz = %d %v", rec.Code, body)
-	}
-}
-
 // TestReadyzStore checks the store-backed report: the full readiness
 // document (replay counters, queue saturation) with 200 once serving.
 func TestReadyzStore(t *testing.T) {
-	s, _ := storeServer(t, store.Options{Shards: 2, QueueSize: 8})
+	s, _ := storeServer(t, store.Options{Shards: 2, QueueSize: 8}, Config{})
 	if w := postDoc(t, s, "/api/v1/docs", "r.xml", "<doc><par>ready</par></doc>"); w.Code != http.StatusCreated {
 		t.Fatalf("add: %d", w.Code)
 	}

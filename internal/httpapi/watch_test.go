@@ -10,10 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/collection"
-	"repro/internal/docgen"
 	"repro/internal/obs"
 	"repro/internal/standing"
+	"repro/internal/store"
 )
 
 func postJSON(t testing.TB, s *Server, path, body string) *httptest.ResponseRecorder {
@@ -218,11 +217,7 @@ func TestWatchSSEStream(t *testing.T) {
 // gets one reset event carrying the snapshot and the stream ends —
 // the server never buffers unboundedly and never blocks ingest.
 func TestWatchSSESlowConsumerReset(t *testing.T) {
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(coll, Config{WatchBuffer: 2})
+	s := figureServer(t, Config{WatchBuffer: 2})
 	id, _ := createWatch(t, s)
 	for i := 0; i < 5; i++ {
 		if rec := postJSON(t, s, "/api/v1/docs",
@@ -312,11 +307,7 @@ func TestWatchCreateErrors(t *testing.T) {
 
 // TestWatchSubscriptionLimit checks the cap answers 429 + Retry-After.
 func TestWatchSubscriptionLimit(t *testing.T) {
-	coll := collection.New()
-	if err := coll.Add(docgen.FigureOne()); err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithConfig(coll, Config{MaxSubscriptions: 1})
+	s := figureServer(t, Config{MaxSubscriptions: 1})
 	createWatch(t, s)
 	rec := postJSON(t, s, "/api/v1/watch", `{"query":"other terms"}`)
 	if rec.Code != http.StatusTooManyRequests {
@@ -337,8 +328,7 @@ func TestWatchSubscriptionLimit(t *testing.T) {
 // TestWatchDisabled checks a negative MaxSubscriptions removes the
 // watch surface entirely.
 func TestWatchDisabled(t *testing.T) {
-	coll := collection.New()
-	s := NewWithConfig(coll, Config{MaxSubscriptions: -1})
+	s, _ := storeServer(t, store.Options{}, Config{MaxSubscriptions: -1})
 	if rec := postJSON(t, s, "/api/v1/watch", `{"query":"x"}`); rec.Code != http.StatusNotFound {
 		t.Fatalf("watch on disabled server = %d, want 404", rec.Code)
 	}
@@ -391,7 +381,7 @@ func TestRouteManifest(t *testing.T) {
 func TestSearchFastPathServesMaterializedView(t *testing.T) {
 	s := testServer(t)
 	createWatch(t, s)
-	m := s.coll.Metrics()
+	m := s.st.Metrics()
 
 	var resp SearchResponse
 	rec, _ := get(t, s, "/api/v1/search?q=xquery+optimization&filter=size%3C%3D3")

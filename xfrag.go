@@ -49,6 +49,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/snapshot"
+	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -309,14 +310,31 @@ func SearchContext(ctx context.Context, c *Collection, keywords, filterSpec stri
 // overload with 503 + Retry-After.
 type HTTPConfig = httpapi.Config
 
-// NewHTTPHandler returns an http.Handler serving the collection as a
-// JSON search API under /api/v1 (see internal/httpapi for endpoints).
-func NewHTTPHandler(c *Collection) http.Handler { return httpapi.New(c) }
+// NewHTTPHandler returns an http.Handler serving the documents c holds
+// now as a JSON search API under /api/v1 (see internal/httpapi for
+// endpoints). The handler serves an in-memory store loaded from c at
+// call time: later changes go through POST and DELETE /api/v1/docs,
+// not through c.
+func NewHTTPHandler(c *Collection) http.Handler { return NewHTTPHandlerWithConfig(c, HTTPConfig{}) }
 
 // NewHTTPHandlerWithConfig is NewHTTPHandler with explicit deadline
 // and admission-control settings.
 func NewHTTPHandlerWithConfig(c *Collection, cfg HTTPConfig) http.Handler {
-	return httpapi.NewWithConfig(c, cfg)
+	// An in-memory store opens without I/O and cannot fail.
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		panic(err)
+	}
+	if c != nil {
+		for _, name := range c.Names() {
+			if eng := c.Engine(name); eng != nil {
+				if err := st.Add(eng.Document()); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return httpapi.NewStoreWithConfig(st, cfg)
 }
 
 // FragmentXML serializes a fragment as a well-formed XML snippet of
