@@ -170,8 +170,7 @@ func run() error {
 			st.Strategy, st.SeedSizes, st.FixedPointSizes, st.Candidates, st.Answers, st.Joins, st.Elapsed)
 		fmt.Printf("ops: pairwise=%d powerset=%d iterations=%d prunes=%d\n",
 			st.Ops.PairwiseJoins, st.Ops.PowersetExpansions, st.Ops.FixedPointIterations, st.Ops.FilterPrunes)
-		fmt.Printf("kernel: memo-hits=%d label-prunes=%d dedup-probes=%d\n",
-			st.Ops.JoinMemoHits, st.Ops.LabelPrunes, st.Ops.DedupProbes)
+		fmt.Printf("kernel: mirrors=%d dedup-probes=%d\n", st.Ops.JoinMemoHits, st.Ops.DedupProbes)
 		fmt.Printf("enumerate: nodes=%d prunes=%d\n", st.Ops.EnumNodes, st.Ops.EnumPrunes)
 	}
 	if *slca {

@@ -7,6 +7,7 @@ package xfrag_test
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -84,7 +85,9 @@ func TestEndToEndHTTP(t *testing.T) {
 	if err := coll.Add(xfrag.FigureOneDocument()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(xfrag.NewHTTPHandler(coll))
+	h := xfrag.NewHTTPHandler(coll)
+	defer h.(io.Closer).Close()
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 
 	// Upload a second document over the wire.

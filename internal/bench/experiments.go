@@ -320,13 +320,6 @@ type RFRow struct {
 	CheckingJoins  uint64
 	BudgetedTotal  uint64 // reduce + budgeted iteration
 	CheckingBetter bool
-	// MemoHits and MemoJoins report pair-memo effectiveness on the
-	// production path (⊖ and the budgeted self joins sharing one
-	// evaluation state, as core.FixedPoint runs them): of MemoJoins
-	// logical joins, MemoHits were answered from the memo without
-	// recomputing Definition 4.
-	MemoHits  uint64
-	MemoJoins uint64
 }
 
 // RFSweep measures, for fragment sets of varying reducibility, the
@@ -355,16 +348,16 @@ func RFSweep(seed int64) []RFRow {
 		// deltas could absorb their joins).
 		var cReduce, cBudgeted, cChecked obs.EvalCounters
 		const noBudget = 1 << 30
-		reduced := core.ReduceState(core.NewEvalState(&cReduce), F)
+		reduced := core.ReduceState(&cReduce, F)
 		reduceJoins := cReduce.Joins()
 
-		budgeted, err := core.SelfJoinTimesBounded(nil, core.NewEvalState(&cBudgeted), F, max(reduced.Len(), 1), noBudget)
+		budgeted, err := core.SelfJoinTimesBounded(nil, &cBudgeted, F, max(reduced.Len(), 1), noBudget)
 		if err != nil {
 			panic("RFSweep: budgeted self join: " + err.Error())
 		}
 		budgetedJoins := cBudgeted.Joins()
 
-		checked, err := core.FixedPointNaiveBounded(nil, core.NewEvalState(&cChecked), F, noBudget)
+		checked, err := core.FixedPointNaiveBounded(nil, &cChecked, F, noBudget)
 		if err != nil {
 			panic("RFSweep: checked fixed point: " + err.Error())
 		}
@@ -372,20 +365,6 @@ func RFSweep(seed int64) []RFRow {
 
 		if !budgeted.Equal(checked) {
 			panic("RFSweep: budgeted and checked fixed points disagree")
-		}
-
-		// Memo effectiveness on the production path: ⊖ and the
-		// budgeted self joins share one evaluation state (as in
-		// core.FixedPoint), so the witness-pair joins ⊖ repeats — and
-		// the first self-join iteration re-derives — come from the
-		// memo.
-		var cShared obs.EvalCounters
-		shared, err := core.FixedPointBounded(nil, core.NewEvalState(&cShared), F, noBudget)
-		if err != nil {
-			panic("RFSweep: shared-state fixed point: " + err.Error())
-		}
-		if !shared.Equal(checked) {
-			panic("RFSweep: memoized and checked fixed points disagree")
 		}
 
 		rows = append(rows, RFRow{
@@ -396,8 +375,6 @@ func RFSweep(seed int64) []RFRow {
 			CheckingJoins:  checkingJoins,
 			BudgetedTotal:  reduceJoins + budgetedJoins,
 			CheckingBetter: checkingJoins < reduceJoins+budgetedJoins,
-			MemoHits:       cShared.JoinMemoHits(),
-			MemoJoins:      cShared.Joins(),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].RF < rows[j].RF })
@@ -423,22 +400,17 @@ func chainAndLeavesDoc(depth int) *xmltree.Document {
 func FormatRFRows(rows []RFRow) string {
 	var sb strings.Builder
 	sb.WriteString("perf-rf: reduction factor vs. cost of the set-reduction technique (joins)\n\n")
-	fmt.Fprintf(&sb, "%-5s  %-6s  %-12s  %-14s  %-15s  %-14s  %-13s  %-10s\n",
-		"|F|", "RF", "⊖ joins", "budgeted ⋈", "⊖+budgeted", "checking ⋈", "memo hits", "winner")
+	fmt.Fprintf(&sb, "%-5s  %-6s  %-12s  %-14s  %-15s  %-14s  %-10s\n",
+		"|F|", "RF", "⊖ joins", "budgeted ⋈", "⊖+budgeted", "checking ⋈", "winner")
 	for _, r := range rows {
 		winner := "set-reduction"
 		if r.CheckingBetter {
 			winner = "checking"
 		}
-		rate := 0.0
-		if r.MemoJoins > 0 {
-			rate = float64(r.MemoHits) / float64(r.MemoJoins) * 100
-		}
-		fmt.Fprintf(&sb, "%-5d  %-6.2f  %-12d  %-14d  %-15d  %-14d  %6d (%2.0f%%)  %-10s\n",
-			r.SetSize, r.RF, r.ReduceJoins, r.BudgetedJoins, r.BudgetedTotal, r.CheckingJoins, r.MemoHits, rate, winner)
+		fmt.Fprintf(&sb, "%-5d  %-6.2f  %-12d  %-14d  %-15d  %-14d  %-10s\n",
+			r.SetSize, r.RF, r.ReduceJoins, r.BudgetedJoins, r.BudgetedTotal, r.CheckingJoins, winner)
 	}
 	sb.WriteString("\ncrossover v: the smallest RF at which ⊖+budgeted beats checking (Section 5)\n")
-	sb.WriteString("memo hits: joins answered from the shared ⊖/self-join pair memo (% of its logical joins)\n")
 	return sb.String()
 }
 

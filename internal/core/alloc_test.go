@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // Allocation-regression pins for the join/dedup hot path. These assert
@@ -90,7 +88,7 @@ func TestPairwiseJoinAllocBound(t *testing.T) {
 	d := buildRandomDoc(t, rng, 400)
 	f1 := randomSet(t, rng, d, 12, 5)
 	f2 := randomSet(t, rng, d, 12, 5)
-	out, err := PairwiseJoinBounded(bg, NewEvalState(nil), f1, f2, Selection{}, 1<<20)
+	out, err := PairwiseJoinBounded(bg, nil, f1, f2, Selection{}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,91 +99,12 @@ func TestPairwiseJoinAllocBound(t *testing.T) {
 	// verify the bound scales with results rather than probes.
 	budget := float64(8*out.Len() + 64)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), f1, f2, Selection{}, 1<<20); err != nil {
+		if _, err := PairwiseJoinBounded(bg, nil, f1, f2, Selection{}, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > budget {
 		t.Fatalf("PairwiseJoin allocated %.1f times per run over %d probes / %d results, want <= %.0f",
 			allocs, probes, out.Len(), budget)
-	}
-}
-
-// TestMemoizedJoinsIdenticalAnswers verifies the byte-identical
-// acceptance criterion directly: evaluating through a fresh evaluation
-// state (cold memo) and through a reused state (warm memo, hits on
-// every repeated pair) yields equal answer sets for all fixed-point
-// strategies.
-func TestMemoizedJoinsIdenticalAnswers(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	d := buildRandomDoc(t, rng, 300)
-	f := randomSet(t, rng, d, 10, 4)
-	pred := func(fr Fragment) bool { return fr.Size() <= 12 }
-
-	naive := FixedPointNaive(f)
-	budgeted := FixedPoint(f)
-	if !naive.Equal(budgeted) {
-		t.Fatal("naive and Theorem-1 fixed points disagree")
-	}
-
-	// Warm state: run ⊖ first so the self-join loop hits the memo.
-	st := NewEvalState(nil)
-	ReduceState(st, f)
-	if st.MemoLen() == 0 {
-		t.Fatal("reduce left no memo entries")
-	}
-	warm, err := FixedPointBounded(bg, st, f, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Equal(naive) {
-		t.Fatal("memo-warm fixed point disagrees with cold evaluation")
-	}
-
-	// The filtered closure through the same warm state must agree with
-	// the cold paper form.
-	warmF, err := FilteredFixedPointBounded(bg, st, f, Selection{Keep: pred}, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warmF.Equal(FilteredFixedPoint(f, pred)) {
-		t.Fatal("memo-warm filtered fixed point disagrees with cold evaluation")
-	}
-}
-
-// TestFilteredFixedPointAllocsTrackKeptJoins pins bound before build:
-// with the size limit given as Bounds, a pair whose join is over the
-// limit is rejected from labels and never materialised, so the closure
-// allocates in proportion to the joins it keeps (dedup probes), not
-// to the pairs it meets. The same closure with the limit hidden in an
-// opaque predicate builds every pair and must allocate far more.
-func TestFilteredFixedPointAllocsTrackKeptJoins(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	d := buildRandomDoc(t, rng, 600)
-	f := randomSet(t, rng, d, 64, 2)
-	pred := func(fr Fragment) bool { return fr.Size() <= 8 }
-	labels := Selection{Bounds: Bounds{Size: 8}}
-	var c obs.EvalCounters
-	if _, err := FilteredFixedPointBounded(bg, NewEvalState(&c), f, labels, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
-	if s.LabelPrunes == 0 {
-		t.Fatal("no pair was rejected from labels; the pin measures nothing")
-	}
-	run := func(sel Selection) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), f, sel, 1<<20); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	got := run(labels)
-	if budget := float64(2*s.DedupProbes + 64); got > budget {
-		t.Fatalf("bounded closure allocated %.0f times for %d kept joins (%d pairs rejected from labels), want <= %.0f",
-			got, s.DedupProbes, s.LabelPrunes, budget)
-	}
-	if opaque := run(Selection{Keep: pred}); opaque < float64(s.LabelPrunes) {
-		t.Fatalf("opaque closure allocated %.0f times, fewer than the %d over-limit pairs it must build", opaque, s.LabelPrunes)
 	}
 }

@@ -23,83 +23,27 @@ func budgetError(op string, budget int) error {
 
 // The *Bounded functions are the evaluator form of each operator: they
 // check the fragment budget on every insertion, poll ctx for
-// cancellation amortized (see checkCtx), and thread the per-evaluation
-// *EvalState (counters + pair-join memo) through every fragment join.
-// The query evaluator builds one EvalState per evaluation, so pairs
-// re-joined across operators are served from the memo. The paper form
-// of each operator (PairwiseJoin, FixedPoint, …) is the same loop run
-// with no context, a fresh state and no budget.
+// cancellation amortized (see checkCtx), and count every operator
+// application on the evaluation's counters c (nil-safe: a nil c counts
+// nothing). The paper form of each operator (PairwiseJoin, FixedPoint,
+// …) is the same loop run with no context, no counters and no budget.
 //
-// The filtered loops bound before they build: a pair whose join falls
-// outside the selection's Bounds is decided from the operands' labels
-// (Bounds.joinExceeds) and never materialised. It still counts as a
-// join and a filter prune — the counter totals are those of building
-// the join and filtering it — plus a label prune.
-
-// labelTally counts the pairs one loop rejected from labels and
-// charges them to the counters once, when the loop returns: mirrors
-// are the commutative twins a symmetric pass consumes without
-// recomputing (a memo hit each, as for built pairs).
-type labelTally struct{ pairs, mirrors uint64 }
-
-func (t *labelTally) flush(c *obs.EvalCounters) {
-	if t.pairs == 0 {
-		return
-	}
-	c.AddJoins(t.pairs + t.mirrors)
-	c.AddFilterPrunes(t.pairs + t.mirrors)
-	c.AddJoinMemoHits(t.mirrors)
-	c.AddLabelPrunes(t.pairs)
-}
+// The filtered loops build every pair and then ask the selection
+// (Selection.Accepts): a join it rejects counts as one join and one
+// filter prune.
 
 // symmetricSelfPass runs the F × F join pass exploiting commutativity:
 // each unordered pair is joined once and its mirror consumed again
 // without recomputation. The mirror still counts as a logical join
 // (Definition 4 was applied, just not recomputed) and as a join-memo
 // hit, so counter totals are identical to the literal ordered loop.
-// When the evaluation state's pair memo is already populated (⊖ ran
-// first on the Theorem 1 path), the computed half is served from it
-// too; otherwise the memo map is bypassed entirely — frontier pairs
-// never repeat, so inserts would be pure overhead. A pair the memo
-// cannot serve is checked against b from labels before it is built.
-func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, b Bounds, tally *labelTally, tick *int, consume func(Fragment) error) error {
-	c := st.Counters()
-	useMemo := st.MemoLen() > 0
-	bounded := b.Any()
+func symmetricSelfPass(ctx context.Context, c *obs.EvalCounters, fs []Fragment, tick *int, consume func(Fragment) error) error {
 	for ai, a := range fs {
 		for bi := ai; bi < len(fs); bi++ {
 			if err := checkCtx(ctx, tick); err != nil {
 				return err
 			}
-			var j Fragment
-			hit := false
-			if useMemo {
-				j, hit = st.memoGet(a, fs[bi])
-			}
-			switch {
-			case hit && bounded && !b.Admits(j):
-				// Served from the memo but outside b: filtered like a
-				// built join, mirror included.
-				c.AddFilterPrunes(1)
-				if bi != ai {
-					c.AddJoins(1)
-					c.AddJoinMemoHits(1)
-					c.AddFilterPrunes(1)
-				}
-				continue
-			case hit:
-			case bounded && b.joinExceeds(a, fs[bi]):
-				tally.pairs++
-				if bi != ai {
-					tally.mirrors++
-				}
-				continue
-			default:
-				j = joinCounted(c, a, fs[bi])
-				if useMemo {
-					st.memoPut(a, fs[bi], j)
-				}
-			}
+			j := joinCounted(c, a, fs[bi])
 			if err := consume(j); err != nil {
 				return err
 			}
@@ -121,20 +65,16 @@ func symmetricSelfPass(ctx context.Context, st *EvalState, fs []Fragment, b Boun
 // With an anti-monotonic selection this is the push-down form licensed
 // by Theorem 3: σ_Pa(F1 ⋈ F2) = σ_Pa(σ_Pa(F1) ⋈ σ_Pa(F2)); callers
 // filter the inputs themselves and pass the same selection here.
-func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, sel Selection, maxFragments int) (*Set, error) {
+func PairwiseJoinBounded(ctx context.Context, c *obs.EvalCounters, f1, f2 *Set, sel Selection, maxFragments int) (*Set, error) {
 	op := "pairwise join"
 	if !sel.IsZero() {
 		op = "filtered pairwise join"
 	}
-	c := st.Counters()
 	c.AddPairwiseJoins(1)
 	out := &Set{}
 	tick := 0
-	var tally labelTally
-	defer tally.flush(c)
-	keep := sel.Keep
 	consume := func(j Fragment) error {
-		if keep != nil && !keep(j) {
+		if !sel.Accepts(j) {
 			c.AddFilterPrunes(1)
 			return nil
 		}
@@ -148,21 +88,15 @@ func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, sel Se
 	// A self pairwise join (F ⋈ F) meets every unordered pair twice —
 	// (a,b) and (b,a) — so the symmetric pass computes each once.
 	if f1 == f2 {
-		if err := symmetricSelfPass(ctx, st, f1.frags, sel.Bounds, &tally, &tick, consume); err != nil {
+		if err := symmetricSelfPass(ctx, c, f1.frags, &tick, consume); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	// Distinct operands never repeat a pair: join directly, no memo.
-	b, bounded := sel.Bounds, sel.Bounds.Any()
 	for _, a := range f1.frags {
 		for _, x := range f2.frags {
 			if err := checkCtx(ctx, &tick); err != nil {
 				return nil, err
-			}
-			if bounded && b.joinExceeds(a, x) {
-				tally.pairs++
-				continue
 			}
 			if err := consume(joinCounted(c, a, x)); err != nil {
 				return nil, err
@@ -178,8 +112,7 @@ func PairwiseJoinBounded(ctx context.Context, st *EvalState, f1, f2 *Set, sel Se
 // members have already met every element of it — keeping the results
 // sel accepts, until an iteration adds nothing or maxIter iterations
 // have run (0 means until empty). op labels the budget error.
-func frontierClosure(ctx context.Context, st *EvalState, f *Set, sel Selection, maxIter, maxFragments int, op string) (*Set, error) {
-	c := st.Counters()
+func frontierClosure(ctx context.Context, c *obs.EvalCounters, f *Set, sel Selection, maxIter, maxFragments int, op string) (*Set, error) {
 	base := f
 	if !sel.IsZero() {
 		base = f.Select(sel.Accepts)
@@ -191,12 +124,9 @@ func frontierClosure(ctx context.Context, st *EvalState, f *Set, sel Selection, 
 	}
 	frontier := base.Fragments()
 	tick := 0
-	var tally labelTally
-	defer tally.flush(c)
-	b, bounded, keep := sel.Bounds, sel.Bounds.Any(), sel.Keep
 	var next []Fragment // fragments first seen in the current iteration
 	consume := func(j Fragment) error {
-		if keep != nil && !keep(j) {
+		if !sel.Accepts(j) {
 			c.AddFilterPrunes(1)
 			return nil
 		}
@@ -213,15 +143,14 @@ func frontierClosure(ctx context.Context, st *EvalState, f *Set, sel Selection, 
 		c.AddFixedPointIterations(1)
 		next = nil
 		// The first pass joins base × base — symmetric, so each
-		// unordered pair is computed once (served from the shared memo
-		// when ⊖'s witness probing already ran, on the Theorem 1 path).
-		// Later iterations join freshly discovered frontiers that can
-		// never repeat a pair — they join directly, in a loop written
-		// out here: calling consume from this function is a direct
-		// call, while routing it through a shared helper cost 5% on
+		// unordered pair is computed once. Later iterations join
+		// freshly discovered frontiers that can never repeat a pair —
+		// they join directly, in a loop written out here: calling
+		// consume from this function is a direct call, while routing
+		// it through a shared helper cost 5% on
 		// BenchmarkFilteredFixedPoint.
 		if iter == 0 {
-			if err := symmetricSelfPass(ctx, st, base.Fragments(), b, &tally, &tick, consume); err != nil {
+			if err := symmetricSelfPass(ctx, c, base.Fragments(), &tick, consume); err != nil {
 				return nil, err
 			}
 			frontier = next
@@ -231,10 +160,6 @@ func frontierClosure(ctx context.Context, st *EvalState, f *Set, sel Selection, 
 			for _, x := range base.Fragments() {
 				if err := checkCtx(ctx, &tick); err != nil {
 					return nil, err
-				}
-				if bounded && b.joinExceeds(a, x) {
-					tally.pairs++
-					continue
 				}
 				if err := consume(joinCounted(c, a, x)); err != nil {
 					return nil, err
@@ -248,7 +173,7 @@ func frontierClosure(ctx context.Context, st *EvalState, f *Set, sel Selection, 
 
 // SelfJoinTimesBounded computes ⋈_n(F) (Theorem 1's notation; n ≥ 1)
 // with a fragment budget.
-func SelfJoinTimesBounded(ctx context.Context, st *EvalState, f *Set, n, maxFragments int) (*Set, error) {
+func SelfJoinTimesBounded(ctx context.Context, c *obs.EvalCounters, f *Set, n, maxFragments int) (*Set, error) {
 	if n < 1 {
 		panic("core: SelfJoinTimesBounded requires n >= 1")
 	}
@@ -259,33 +184,31 @@ func SelfJoinTimesBounded(ctx context.Context, st *EvalState, f *Set, n, maxFrag
 		}
 		return f.Clone(), nil
 	}
-	return frontierClosure(ctx, st, f, Selection{}, n-1, maxFragments, "self join")
+	return frontierClosure(ctx, c, f, Selection{}, n-1, maxFragments, "self join")
 }
 
 // FixedPointBounded computes F⁺ with Theorem 1's iteration budget
 // k = |⊖(F)| and a fragment budget. The ⊖ computation itself is
 // O(|F|³) joins and not interrupted mid-way; its cost is bounded by
-// the seed-set size, not the exponential expansion — and the shared
-// pair memo collapses its repeated witness joins to one computation
-// per distinct pair.
-func FixedPointBounded(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
-	k := ReduceState(st, f).Len()
+// the seed-set size, not the exponential expansion.
+func FixedPointBounded(ctx context.Context, c *obs.EvalCounters, f *Set, maxFragments int) (*Set, error) {
+	k := ReduceState(c, f).Len()
 	if k < 1 {
 		k = 1
 	}
-	return SelfJoinTimesBounded(ctx, st, f, k, maxFragments)
+	return SelfJoinTimesBounded(ctx, c, f, k, maxFragments)
 }
 
 // FixedPointNaiveBounded computes F⁺ with fixed-point checking and a
 // fragment budget.
-func FixedPointNaiveBounded(ctx context.Context, st *EvalState, f *Set, maxFragments int) (*Set, error) {
-	return frontierClosure(ctx, st, f, Selection{}, 0, maxFragments, "fixed point")
+func FixedPointNaiveBounded(ctx context.Context, c *obs.EvalCounters, f *Set, maxFragments int) (*Set, error) {
+	return frontierClosure(ctx, c, f, Selection{}, 0, maxFragments, "fixed point")
 }
 
 // FilteredFixedPointBounded computes σ_Pa(F⁺) with push-down and a
 // fragment budget, Pa being the selection sel. With a selective
 // anti-monotonic selection the budget is rarely hit — which is the
 // paper's optimization story.
-func FilteredFixedPointBounded(ctx context.Context, st *EvalState, f *Set, sel Selection, maxFragments int) (*Set, error) {
-	return frontierClosure(ctx, st, f, sel, 0, maxFragments, "filtered fixed point")
+func FilteredFixedPointBounded(ctx context.Context, c *obs.EvalCounters, f *Set, sel Selection, maxFragments int) (*Set, error) {
+	return frontierClosure(ctx, c, f, sel, 0, maxFragments, "filtered fixed point")
 }

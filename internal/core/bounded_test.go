@@ -43,23 +43,23 @@ func TestBoundedVariantsAgreeWithUnbounded(t *testing.T) {
 		G := randomSet(t, rng, d, 1+rng.Intn(5), 3)
 		pred := func(f Fragment) bool { return f.Size() <= 4 }
 
-		pj, err := PairwiseJoinBounded(bg, NewEvalState(nil), F, G, Selection{}, big)
+		pj, err := PairwiseJoinBounded(bg, nil, F, G, Selection{}, big)
 		if err != nil || !pj.Equal(PairwiseJoin(F, G)) {
 			t.Fatalf("PairwiseJoinBounded mismatch (err=%v)", err)
 		}
-		fp, err := FixedPointBounded(bg, NewEvalState(nil), F, big)
+		fp, err := FixedPointBounded(bg, nil, F, big)
 		if err != nil || !fp.Equal(FixedPoint(F)) {
 			t.Fatalf("FixedPointBounded mismatch (err=%v)", err)
 		}
-		fpn, err := FixedPointNaiveBounded(bg, NewEvalState(nil), F, big)
+		fpn, err := FixedPointNaiveBounded(bg, nil, F, big)
 		if err != nil || !fpn.Equal(FixedPointNaive(F)) {
 			t.Fatalf("FixedPointNaiveBounded mismatch (err=%v)", err)
 		}
-		ffp, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, Selection{Keep: pred}, big)
+		ffp, err := FilteredFixedPointBounded(bg, nil, F, Selection{Keep: pred}, big)
 		if err != nil || !ffp.Equal(FilteredFixedPoint(F, pred)) {
 			t.Fatalf("FilteredFixedPointBounded mismatch (err=%v)", err)
 		}
-		pjf, err := PairwiseJoinBounded(bg, NewEvalState(nil), F, G, Selection{Keep: pred}, big)
+		pjf, err := PairwiseJoinBounded(bg, nil, F, G, Selection{Keep: pred}, big)
 		if err != nil || !pjf.Equal(PairwiseJoinFiltered(F, G, pred)) {
 			t.Fatalf("PairwiseJoinFilteredBounded mismatch (err=%v)", err)
 		}
@@ -68,26 +68,26 @@ func TestBoundedVariantsAgreeWithUnbounded(t *testing.T) {
 
 func TestBoundedVariantsTrip(t *testing.T) {
 	F := scatteredSet(t, 12)
-	if _, err := FixedPointNaiveBounded(bg, NewEvalState(nil), F, 100); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := FixedPointNaiveBounded(bg, nil, F, 100); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("naive fixed point must trip: %v", err)
 	}
-	if _, err := FixedPointBounded(bg, NewEvalState(nil), F, 100); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := FixedPointBounded(bg, nil, F, 100); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budgeted fixed point must trip: %v", err)
 	}
-	if _, err := SelfJoinTimesBounded(bg, NewEvalState(nil), F, 12, 100); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := SelfJoinTimesBounded(bg, nil, F, 12, 100); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("self join must trip: %v", err)
 	}
 	G := FixedPointNaive(NewSet(F.At(0), F.At(1), F.At(2)))
-	if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), G, FixedPointNaive(F), Selection{}, 50); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := PairwiseJoinBounded(bg, nil, G, FixedPointNaive(F), Selection{}, 50); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("pairwise join must trip: %v", err)
 	}
 	// An accept-all predicate makes the filtered variants equivalent
 	// to the plain ones — they must trip too.
 	all := func(Fragment) bool { return true }
-	if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, Selection{Keep: all}, 100); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := FilteredFixedPointBounded(bg, nil, F, Selection{Keep: all}, 100); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("filtered fixed point must trip: %v", err)
 	}
-	if _, err := PairwiseJoinBounded(bg, NewEvalState(nil), G, G, Selection{Keep: all}, 3); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := PairwiseJoinBounded(bg, nil, G, G, Selection{Keep: all}, 3); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("filtered pairwise join must trip: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestBoundedFilteredSurvivesWithSelectivePredicate(t *testing.T) {
 	// selective anti-monotonic filter — the push-down story.
 	F := scatteredSet(t, 12)
 	pred := func(f Fragment) bool { return f.Size() <= 2 }
-	got, err := FilteredFixedPointBounded(bg, NewEvalState(nil), F, Selection{Keep: pred}, 100)
+	got, err := FilteredFixedPointBounded(bg, nil, F, Selection{Keep: pred}, 100)
 	if err != nil {
 		t.Fatalf("selective filter must not trip: %v", err)
 	}
@@ -112,14 +112,14 @@ func TestBoundedBudgetEdge(t *testing.T) {
 	d := docgen.FigureOne()
 	F := NewSet(MustFragment(d, 17), MustFragment(d, 18))
 	// F⁺ = 3 fragments; budget exactly 3 must succeed, 2 must trip.
-	if _, err := FixedPointNaiveBounded(bg, NewEvalState(nil), F, 3); err != nil {
+	if _, err := FixedPointNaiveBounded(bg, nil, F, 3); err != nil {
 		t.Fatalf("budget == result size must pass: %v", err)
 	}
-	if _, err := FixedPointNaiveBounded(bg, NewEvalState(nil), F, 2); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := FixedPointNaiveBounded(bg, nil, F, 2); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budget below result size must trip: %v", err)
 	}
 	// Input already over budget.
-	if _, err := SelfJoinTimesBounded(bg, NewEvalState(nil), F, 1, 1); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := SelfJoinTimesBounded(bg, nil, F, 1, 1); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatal("oversized input must trip immediately")
 	}
 }
@@ -132,5 +132,5 @@ func TestBoundedPanicsOnBadN(t *testing.T) {
 			t.Fatal("SelfJoinTimesBounded(…, F, 0, …) should panic")
 		}
 	}()
-	_, _ = SelfJoinTimesBounded(bg, NewEvalState(nil), F, 0, 10)
+	_, _ = SelfJoinTimesBounded(bg, nil, F, 0, 10)
 }

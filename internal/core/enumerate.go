@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/obs"
 	"repro/internal/xmltree"
 )
 
@@ -14,7 +15,7 @@ import (
 const MaxEnumerateGroups = 64
 
 // EnumerateAnswers returns the answer set of a keyword query directly,
-// without fixed points, pairwise joins, a dedup table or a pair memo.
+// without fixed points, pairwise joins or a dedup table.
 // groups[i] lists the witness nodes of group i (the nodes seeding Fi);
 // the result is σ_sel(F1⁺ ⋈ … ⋈ Fm⁺), the set push-down computes under
 // the same selection.
@@ -46,12 +47,12 @@ const MaxEnumerateGroups = 64
 // Set, for explain, the forced strategies and tests. It copies every
 // answer's IDs into one buffer and sizes the Set once; every answer is
 // distinct, so no insertion meets a duplicate.
-func EnumerateAnswers(ctx context.Context, st *EvalState, doc *xmltree.Document, groups [][]xmltree.NodeID, sel Selection, budget int) (*Set, error) {
+func EnumerateAnswers(ctx context.Context, c *obs.EvalCounters, doc *xmltree.Document, groups [][]xmltree.NodeID, sel Selection, budget int) (*Set, error) {
 	var (
 		found   []xmltree.NodeID
 		emitted []Fragment
 	)
-	err := EnumerateEach(ctx, st, doc, groups, sel, budget, func(f Fragment) error {
+	err := EnumerateEach(ctx, c, doc, groups, sel, budget, func(f Fragment) error {
 		found = append(found, f.ids...)
 		emitted = append(emitted, f)
 		return nil
@@ -84,14 +85,14 @@ func EnumerateAnswers(ctx context.Context, st *EvalState, doc *xmltree.Document,
 // the partials held at once and the answers (ErrBudgetExceeded), and
 // ctx is polled amortized. The arena, stacks, witness and ancestor
 // buffers are reused from earlier calls and kept for later ones.
-func EnumerateEach(ctx context.Context, st *EvalState, doc *xmltree.Document, groups [][]xmltree.NodeID, sel Selection, budget int, emit func(Fragment) error) error {
+func EnumerateEach(ctx context.Context, c *obs.EvalCounters, doc *xmltree.Document, groups [][]xmltree.NodeID, sel Selection, budget int, emit func(Fragment) error) error {
 	if len(groups) == 0 || len(groups) > MaxEnumerateGroups {
 		return fmt.Errorf("core: enumeration takes 1 to %d groups, got %d", MaxEnumerateGroups, len(groups))
 	}
 	e := getEnumerator()
 	e.ctx, e.doc, e.sel, e.budget = ctx, doc, sel, budget
 	e.full = ^uint64(0) >> (64 - len(groups))
-	defer e.release(st)
+	defer e.release(c)
 	wit := e.witnesses(groups)
 	var covered uint64
 	for _, w := range wit {
@@ -142,10 +143,9 @@ func getEnumerator() *enumerator {
 	}
 }
 
-// release adds the pass's counts to st and returns the enumerator to
+// release adds the pass's counts to c and returns the enumerator to
 // the idle list with its buffers emptied and its references dropped.
-func (e *enumerator) release(st *EvalState) {
-	c := st.Counters()
+func (e *enumerator) release(c *obs.EvalCounters) {
 	c.AddEnumNodes(e.nodes)
 	c.AddEnumPrunes(e.prunes)
 	if max(cap(e.arena), cap(e.parts), cap(e.rel), cap(e.wit)) > maxPooledScratch {

@@ -18,7 +18,7 @@ func pushDownAnswers(t testing.TB, d *xmltree.Document, groups [][]xmltree.NodeI
 	t.Helper()
 	var acc *Set
 	for _, g := range groups {
-		fp, err := FilteredFixedPointBounded(bg, NewEvalState(nil), NodeFragments(d, g), sel, 1<<20)
+		fp, err := FilteredFixedPointBounded(bg, nil, NodeFragments(d, g), sel, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func pushDownAnswers(t testing.TB, d *xmltree.Document, groups [][]xmltree.NodeI
 			acc = fp
 			continue
 		}
-		if acc, err = PairwiseJoinBounded(bg, NewEvalState(nil), acc, fp, sel, 1<<20); err != nil {
+		if acc, err = PairwiseJoinBounded(bg, nil, acc, fp, sel, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestEnumerateAnswersFigureOne(t *testing.T) {
 	for size := 1; size <= 6; size++ {
 		sel := Selection{Bounds: Bounds{Size: size}}
 		var c obs.EvalCounters
-		got, err := EnumerateAnswers(bg, NewEvalState(&c), d, groups, sel, 1<<20)
+		got, err := EnumerateAnswers(bg, &c, d, groups, sel, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestEnumerateAnswersKeep(t *testing.T) {
 		}
 		sel := Selection{Bounds: Bounds{Size: 2 + rng.Intn(5)}, Keep: twoLeaves}
 		var c obs.EvalCounters
-		got, err := EnumerateAnswers(bg, NewEvalState(&c), d, groups, sel, 1<<20)
+		got, err := EnumerateAnswers(bg, &c, d, groups, sel, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestEnumerateAllocs(t *testing.T) {
 }
 
 // BenchmarkEnumerateAnswers runs the enumerator on the inputs of
-// BenchmarkFilteredFixedPoint/labels — the roots of its 64 seed
+// BenchmarkFilteredFixedPoint/opaque — the roots of its 64 seed
 // fragments as one group, under size ≤ 8 — so the two rows compare
 // the push-down closure with the enumeration it replaces under auto.
 func BenchmarkEnumerateAnswers(b *testing.B) {
@@ -190,7 +190,7 @@ func BenchmarkEnumerateAnswers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateAnswers(bg, NewEvalState(&c), d, groups, sel, 1<<30); err != nil {
+		if _, err := EnumerateAnswers(bg, &c, d, groups, sel, 1<<30); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkEnumerateEach(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := EnumerateEach(bg, NewEvalState(&c), d, groups, sel, 1<<30, count); err != nil {
+		if err := EnumerateEach(bg, &c, d, groups, sel, 1<<30, count); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/obs"
+
 // FixedPointNaive computes F⁺ (Definition 9) by the dynamic-programming
 // expansion F⁺ = F ∪ (F⋈F) ∪ (F⋈F⋈F) ∪ … (Section 3.1.1): it joins the
 // accumulated set with F repeatedly (semi-naive: only newly discovered
@@ -9,17 +11,15 @@ package core
 // last frontier against F, which is the checking cost the budgeted
 // FixedPoint avoids.
 func FixedPointNaive(f *Set) *Set {
-	return mustSet(FixedPointNaiveBounded(nil, NewEvalState(nil), f, unbounded))
+	return mustSet(FixedPointNaiveBounded(nil, nil, f, unbounded))
 }
 
 // FixedPoint computes F⁺ using Theorem 1: the fixed point is reached
 // after exactly k = |⊖(F)| pairwise self joins, so no fixed-point
 // checking is needed (Section 3.1.2). For |F| ≤ 2 the reduced set is F
-// itself. The ⊖ computation and the budgeted self joins share one
-// evaluation state, so the witness pairs ⊖ joins are served to the
-// first self-join iteration from the memo.
+// itself.
 func FixedPoint(f *Set) *Set {
-	return mustSet(FixedPointBounded(nil, NewEvalState(nil), f, unbounded))
+	return mustSet(FixedPointBounded(nil, nil, f, unbounded))
 }
 
 // FixedPointIterations returns the iteration budget Theorem 1
@@ -36,7 +36,7 @@ func FixedPointIterations(f *Set) int {
 // fragment discarded early could only have produced discardable
 // super-fragments, so nothing in the final selection is lost.
 func FilteredFixedPoint(f *Set, pred func(Fragment) bool) *Set {
-	return mustSet(FilteredFixedPointBounded(nil, NewEvalState(nil), f, Selection{Keep: pred}, unbounded))
+	return mustSet(FilteredFixedPointBounded(nil, nil, f, Selection{Keep: pred}, unbounded))
 }
 
 // Reduce computes the reduced set ⊖(F) (Definition 10): fragments
@@ -56,14 +56,13 @@ func FilteredFixedPoint(f *Set, pred func(Fragment) bool) *Set {
 // Iterative elimination restores that invariant; on inputs without
 // mutual elimination (such as the paper's Figure 4 example) the two
 // readings agree. See DESIGN.md for the reproduction note.
-func Reduce(f *Set) *Set { return ReduceState(NewEvalState(nil), f) }
+func Reduce(f *Set) *Set { return ReduceState(nil, f) }
 
-// ReduceState is Reduce on an evaluation state: the witness-pair joins
-// count toward the state's counters and populate its pair memo. The
-// elimination sweeps probe the same witness pairs once per candidate
-// per sweep — O(|F|³) join applications over O(|F|²) distinct pairs —
-// which the memo collapses to one computed join per pair.
-func ReduceState(st *EvalState, f *Set) *Set {
+// ReduceState is Reduce counting its witness-pair joins on c
+// (nil-safe). The elimination sweeps probe the same witness pairs once
+// per candidate per sweep — O(|F|³) join applications over O(|F|²)
+// distinct pairs — and every probe builds its join.
+func ReduceState(c *obs.EvalCounters, f *Set) *Set {
 	n := f.Len()
 	if n <= 2 {
 		// A set needs at least three elements for any to be eliminated
@@ -82,7 +81,7 @@ func ReduceState(st *EvalState, f *Set) *Set {
 			if !alive[k] {
 				continue
 			}
-			if coveredByPair(st, frags, alive, k) {
+			if coveredByPair(c, frags, alive, k) {
 				alive[k] = false
 				aliveCount--
 				changed = true
@@ -103,7 +102,7 @@ func ReduceState(st *EvalState, f *Set) *Set {
 
 // coveredByPair reports whether frags[k] is a sub-fragment of the join
 // of two distinct other alive fragments.
-func coveredByPair(st *EvalState, frags []Fragment, alive []bool, k int) bool {
+func coveredByPair(c *obs.EvalCounters, frags []Fragment, alive []bool, k int) bool {
 	for i := range frags {
 		if !alive[i] || i == k {
 			continue
@@ -112,7 +111,7 @@ func coveredByPair(st *EvalState, frags []Fragment, alive []bool, k int) bool {
 			if !alive[j] || j == k {
 				continue
 			}
-			if frags[k].SubsetOf(st.JoinMemo(frags[i], frags[j])) {
+			if frags[k].SubsetOf(joinCounted(c, frags[i], frags[j])) {
 				return true
 			}
 		}

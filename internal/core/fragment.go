@@ -30,9 +30,9 @@ type Fragment struct {
 }
 
 // FNV-1a over 32-bit words. The per-fragment identity hash feeds the
-// open-addressed Set table and the pair-join memo, so it must be
-// cheap (one xor + multiply per node, no allocation) and stable for
-// the process lifetime; it is never persisted.
+// open-addressed Set table, so it must be cheap (one xor + multiply
+// per node, no allocation) and stable for the process lifetime; it is
+// never persisted.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -172,8 +172,8 @@ func (f Fragment) SubsetOf(g Fragment) bool {
 // Hash returns the fragment's cached 64-bit identity hash, computed
 // over its sorted node IDs at construction. Fragments of the same
 // document that are Equal always share a hash; unequal fragments
-// collide only with ~2⁻⁶⁴ probability, and every hash consumer (Set
-// dedup, the pair-join memo) falls back to Equal on collision.
+// collide only with ~2⁻⁶⁴ probability, and Set dedup, the hash's
+// consumer, falls back to Equal on collision.
 func (f Fragment) Hash() uint64 { return f.hash }
 
 // Equal reports whether f and g are the same fragment of the same

@@ -19,10 +19,11 @@ type kernelGolden struct {
 // TestKernelCountersGolden pins every evaluator-form operator to the
 // result size and counter totals recorded before the five loops of
 // bounded.go were merged into two, on Figure 1's seed sets and on one
-// seeded docgen document: cold and ⊖-warmed pair memo, self-join and
-// distinct operands, and a predicate that prunes. Joins are the
-// paper's cost currency, so a restructured loop that changes any of
-// these numbers has changed the algorithm, not just its shape.
+// seeded docgen document: cold and after ⊖, self-join and distinct
+// operands, and a predicate that prunes. Joins are the paper's cost
+// currency, so a restructured loop that changes any of these numbers
+// has changed the algorithm, not just its shape. Memo hits count the
+// commutative mirrors of the symmetric self pass.
 func TestKernelCountersGolden(t *testing.T) {
 	fig := docgen.FigureOne()
 	gen, err := docgen.Generate(docgen.Config{
@@ -38,134 +39,117 @@ func TestKernelCountersGolden(t *testing.T) {
 	genB := NodeFragments(gen, gen.NodesWithKeyword("beta"))
 	small := func(f Fragment) bool { return f.Size() <= 3 }
 	medium := func(f Fragment) bool { return f.Size() <= 8 }
-	// Every case runs twice. Opaque: the filters are bare predicates,
-	// so the loops build every pair and then ask. Labels: the size
-	// limit is exposed as Bounds (with and without the predicate
-	// restating it), so over-limit pairs are rejected from labels and
-	// never built. Both runs must produce the values the opaque loops
-	// recorded; the labels run additionally pins its label prunes.
+	// Every case runs twice. Opaque: the filters are bare predicates.
+	// Bounds: the size limit is given as Bounds (with and without the
+	// predicate restating it). Both must produce the same values.
 	opaque := selections{Selection{Keep: small}, Selection{Keep: medium}}
-	labels := selections{Selection{Bounds: Bounds{Size: 3}, Keep: small}, Selection{Bounds: Bounds{Size: 8}}}
-	labelPrunes := map[string]uint64{
-		"fig/pairwise/filtered-distinct":       2,
-		"fig/pairwise/filtered-self":           2,
-		"gen/pairwise/filtered-distinct":       32,
-		"gen/pairwise/filtered-self":           13,
-		"gen/fixedpoint/filtered":              62,
-		"gen/fixedpoint/filtered-warm":         40,
-		"gen/fixedpoint/filtered-input-pruned": 22,
-	}
+	bounds := selections{Selection{Bounds: Bounds{Size: 3}, Keep: small}, Selection{Bounds: Bounds{Size: 8}}}
 	const budget = 1 << 20
 	ctx := context.Background()
 
 	cases := []struct {
 		name string
-		// warm, when set, is reduced on the state first (the Theorem 1
-		// path's ⊖) and the counters zeroed, so the operator runs
-		// against a populated pair memo.
+		// warm, when set, is reduced first (the Theorem 1 path's ⊖)
+		// and the counters zeroed: no operator carries state into the
+		// next, so the run must count what its cold twin counts.
 		warm *Set
-		run  func(st *EvalState, s selections) (*Set, error)
+		run  func(c *obs.EvalCounters, s selections) (*Set, error)
 		want kernelGolden
 	}{
-		{name: "fig/pairwise/distinct", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, figX, figO, Selection{}, budget)
+		{name: "fig/pairwise/distinct", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, figX, figO, Selection{}, budget)
 		}, want: kernelGolden{6, 6, 0, 6, 0, 0}},
-		{name: "fig/pairwise/self", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, figO, figO, Selection{}, budget)
+		{name: "fig/pairwise/self", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, figO, figO, Selection{}, budget)
 		}, want: kernelGolden{6, 9, 3, 9, 0, 0}},
-		{name: "fig/pairwise/filtered-distinct", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, figX, figO, s.small, budget)
+		{name: "fig/pairwise/filtered-distinct", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, figX, figO, s.small, budget)
 		}, want: kernelGolden{4, 6, 0, 4, 2, 0}},
-		{name: "fig/pairwise/filtered-self", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, figO, figO, s.small, budget)
+		{name: "fig/pairwise/filtered-self", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, figO, figO, s.small, budget)
 		}, want: kernelGolden{4, 9, 3, 5, 4, 0}},
-		{name: "fig/fixedpoint/naive", run: func(st *EvalState, s selections) (*Set, error) {
-			return FixedPointNaiveBounded(ctx, st, figO, budget)
+		{name: "fig/fixedpoint/naive", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FixedPointNaiveBounded(ctx, c, figO, budget)
 		}, want: kernelGolden{6, 18, 3, 18, 0, 2}},
-		{name: "fig/fixedpoint/theorem1", run: func(st *EvalState, s selections) (*Set, error) {
-			return FixedPointBounded(ctx, st, figO, budget)
-		}, want: kernelGolden{6, 10, 4, 9, 0, 1}},
-		{name: "fig/fixedpoint/filtered", run: func(st *EvalState, s selections) (*Set, error) {
-			return FilteredFixedPointBounded(ctx, st, figX, s.small, budget)
+		{name: "fig/fixedpoint/theorem1", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FixedPointBounded(ctx, c, figO, budget)
+		}, want: kernelGolden{6, 10, 3, 9, 0, 1}},
+		{name: "fig/fixedpoint/filtered", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, c, figX, s.small, budget)
 		}, want: kernelGolden{3, 6, 1, 6, 0, 2}},
-		{name: "fig/reduce", run: func(st *EvalState, s selections) (*Set, error) {
-			return ReduceState(st, Union(figX, figO)), nil
-		}, want: kernelGolden{3, 11, 5, 0, 0, 0}},
-		{name: "fig/powerset-trace", run: func(st *EvalState, s selections) (*Set, error) {
-			rows, err := MultiPowersetJoinTrace(ctx, st, []*Set{figX, figO}, small)
+		{name: "fig/reduce", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return ReduceState(c, Union(figX, figO)), nil
+		}, want: kernelGolden{3, 11, 0, 0, 0, 0}},
+		{name: "fig/powerset-trace", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			rows, err := MultiPowersetJoinTrace(ctx, c, []*Set{figX, figO}, small)
 			out := NewSet()
 			for _, r := range rows {
 				out.Add(r.Result)
 			}
 			return out, err
-		}, want: kernelGolden{7, 16, 7, 11, 0, 0}},
+		}, want: kernelGolden{7, 16, 0, 11, 0, 0}},
 
-		{name: "gen/pairwise/distinct", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, genA, genB, Selection{}, budget)
+		{name: "gen/pairwise/distinct", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, genA, genB, Selection{}, budget)
 		}, want: kernelGolden{42, 42, 0, 42, 0, 0}},
-		{name: "gen/pairwise/self", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, genA, genA, Selection{}, budget)
+		{name: "gen/pairwise/self", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, genA, genA, Selection{}, budget)
 		}, want: kernelGolden{28, 49, 21, 49, 0, 0}},
-		{name: "gen/pairwise/self-warm", warm: genA, run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, genA, genA, Selection{}, budget)
-		}, want: kernelGolden{28, 49, 36, 49, 0, 0}},
-		{name: "gen/pairwise/filtered-distinct", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, genA, genB, s.small, budget)
+		{name: "gen/pairwise/self-warm", warm: genA, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, genA, genA, Selection{}, budget)
+		}, want: kernelGolden{28, 49, 21, 49, 0, 0}},
+		{name: "gen/pairwise/filtered-distinct", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, genA, genB, s.small, budget)
 		}, want: kernelGolden{10, 42, 0, 10, 32, 0}},
-		{name: "gen/pairwise/filtered-self", run: func(st *EvalState, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, st, genB, genB, s.small, budget)
+		{name: "gen/pairwise/filtered-self", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return PairwiseJoinBounded(ctx, c, genB, genB, s.small, budget)
 		}, want: kernelGolden{8, 36, 15, 10, 26, 0}},
-		{name: "gen/selfjoin/n=1", run: func(st *EvalState, s selections) (*Set, error) {
-			return SelfJoinTimesBounded(ctx, st, genA, 1, budget)
+		{name: "gen/selfjoin/n=1", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, c, genA, 1, budget)
 		}, want: kernelGolden{7, 0, 0, 0, 0, 0}},
-		{name: "gen/selfjoin/n=2", run: func(st *EvalState, s selections) (*Set, error) {
-			return SelfJoinTimesBounded(ctx, st, genA, 2, budget)
+		{name: "gen/selfjoin/n=2", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, c, genA, 2, budget)
 		}, want: kernelGolden{28, 49, 21, 49, 0, 1}},
-		{name: "gen/selfjoin/n=3", run: func(st *EvalState, s selections) (*Set, error) {
-			return SelfJoinTimesBounded(ctx, st, genA, 3, budget)
+		{name: "gen/selfjoin/n=3", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, c, genA, 3, budget)
 		}, want: kernelGolden{51, 196, 21, 196, 0, 2}},
-		{name: "gen/selfjoin/n=3-warm", warm: genA, run: func(st *EvalState, s selections) (*Set, error) {
-			return SelfJoinTimesBounded(ctx, st, genA, 3, budget)
-		}, want: kernelGolden{51, 196, 36, 196, 0, 2}},
-		{name: "gen/fixedpoint/naive", run: func(st *EvalState, s selections) (*Set, error) {
-			return FixedPointNaiveBounded(ctx, st, genA, budget)
+		{name: "gen/selfjoin/n=3-warm", warm: genA, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return SelfJoinTimesBounded(ctx, c, genA, 3, budget)
+		}, want: kernelGolden{51, 196, 21, 196, 0, 2}},
+		{name: "gen/fixedpoint/naive", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FixedPointNaiveBounded(ctx, c, genA, budget)
 		}, want: kernelGolden{73, 511, 21, 511, 0, 6}},
-		{name: "gen/fixedpoint/naive-warm", warm: genA, run: func(st *EvalState, s selections) (*Set, error) {
-			return FixedPointNaiveBounded(ctx, st, genA, budget)
-		}, want: kernelGolden{73, 511, 36, 511, 0, 6}},
-		{name: "gen/fixedpoint/theorem1", run: func(st *EvalState, s selections) (*Set, error) {
-			return FixedPointBounded(ctx, st, genA, budget)
-		}, want: kernelGolden{73, 626, 143, 504, 0, 5}},
-		{name: "gen/fixedpoint/filtered", run: func(st *EvalState, s selections) (*Set, error) {
-			return FilteredFixedPointBounded(ctx, st, genA, s.medium, budget)
+		{name: "gen/fixedpoint/naive-warm", warm: genA, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FixedPointNaiveBounded(ctx, c, genA, budget)
+		}, want: kernelGolden{73, 511, 21, 511, 0, 6}},
+		{name: "gen/fixedpoint/theorem1", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FixedPointBounded(ctx, c, genA, budget)
+		}, want: kernelGolden{73, 626, 21, 504, 0, 5}},
+		{name: "gen/fixedpoint/filtered", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, c, genA, s.medium, budget)
 		}, want: kernelGolden{44, 308, 21, 246, 62, 4}},
-		{name: "gen/fixedpoint/filtered-warm", warm: genB, run: func(st *EvalState, s selections) (*Set, error) {
-			return FilteredFixedPointBounded(ctx, st, genB, s.medium, budget)
-		}, want: kernelGolden{33, 198, 30, 158, 40, 4}},
-		{name: "gen/fixedpoint/filtered-input-pruned", run: func(st *EvalState, s selections) (*Set, error) {
-			return FilteredFixedPointBounded(ctx, st, FixedPointNaive(genB), s.small, budget)
+		{name: "gen/fixedpoint/filtered-warm", warm: genB, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, c, genB, s.medium, budget)
+		}, want: kernelGolden{33, 198, 15, 158, 40, 4}},
+		{name: "gen/fixedpoint/filtered-input-pruned", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return FilteredFixedPointBounded(ctx, c, FixedPointNaive(genB), s.small, budget)
 		}, want: kernelGolden{8, 64, 28, 20, 84, 1}},
-		{name: "gen/reduce", run: func(st *EvalState, s selections) (*Set, error) {
-			return ReduceState(st, genA), nil
-		}, want: kernelGolden{6, 122, 107, 0, 0, 0}},
+		{name: "gen/reduce", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+			return ReduceState(c, genA), nil
+		}, want: kernelGolden{6, 122, 0, 0, 0, 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, v := range []struct {
-				name        string
-				sel         selections
-				labelPrunes uint64
-			}{{"opaque", opaque, 0}, {"labels", labels, labelPrunes[tc.name]}} {
+				name string
+				sel  selections
+			}{{"opaque", opaque}, {"bounds", bounds}} {
 				var c obs.EvalCounters
-				st := NewEvalState(&c)
 				if tc.warm != nil {
-					ReduceState(st, tc.warm)
-					if st.MemoLen() == 0 {
-						t.Fatal("⊖ left the pair memo empty")
-					}
+					ReduceState(&c, tc.warm)
 					c.Reset()
 				}
-				out, err := tc.run(st, v.sel)
+				out, err := tc.run(&c, v.sel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,9 +157,6 @@ func TestKernelCountersGolden(t *testing.T) {
 				got := kernelGolden{out.Len(), s.Joins, s.JoinMemoHits, s.DedupProbes, s.FilterPrunes, s.FixedPointIterations}
 				if got != tc.want {
 					t.Errorf("%s: got  %+v\nwant %+v", v.name, got, tc.want)
-				}
-				if s.LabelPrunes != v.labelPrunes {
-					t.Errorf("%s: label prunes = %d, want %d", v.name, s.LabelPrunes, v.labelPrunes)
 				}
 			}
 		})

@@ -10,9 +10,9 @@ import (
 // joinPathBuf is the stack buffer for the root-to-LCA connecting
 // path: big enough for two walks in any realistically deep document,
 // spilling to the heap (one extra allocation) only beyond it. Keeping
-// the buffer on the goroutine stack beat both a sync.Pool and an
-// EvalState-threaded scratch in profiles — the join is short enough
-// that pool synchronization costs more than it saves.
+// the buffer on the goroutine stack beat both a sync.Pool and a
+// per-evaluation scratch in profiles — the join is short enough that
+// pool synchronization costs more than it saves.
 const joinPathBufLen = 48
 
 // Join computes the fragment join f1 ⋈ f2 (Definition 4): the minimal
@@ -105,13 +105,16 @@ func joinCounted(c *obs.EvalCounters, f1, f2 Fragment) Fragment {
 
 // JoinAll folds Join over all fragments: ⋈{f1,…,fn} = f1 ⋈ … ⋈ fn
 // (the n-ary form used by Definition 6). It panics on an empty slice.
-func JoinAll(fs []Fragment) Fragment {
+func JoinAll(fs []Fragment) Fragment { return joinAllCounted(nil, fs) }
+
+// joinAllCounted is JoinAll counting its joins on c (nil-safe).
+func joinAllCounted(c *obs.EvalCounters, fs []Fragment) Fragment {
 	if len(fs) == 0 {
 		panic("core: JoinAll of empty slice")
 	}
 	acc := fs[0]
 	for _, f := range fs[1:] {
-		acc = Join(acc, f)
+		acc = joinCounted(c, acc, f)
 	}
 	return acc
 }

@@ -140,7 +140,7 @@ func BenchmarkPairwiseJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := PairwiseJoinBounded(bg, NewEvalState(&c), f1, f2, Selection{}, 1<<30); err != nil {
+				if _, err := PairwiseJoinBounded(bg, &c, f1, f2, Selection{}, 1<<30); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,8 +151,8 @@ func BenchmarkPairwiseJoin(b *testing.B) {
 }
 
 // BenchmarkFixedPoint measures the Theorem 1 fixed point (⊖ plus the
-// budgeted self joins) on a moderately reducible set — the pair-join
-// repetition inside Reduce is where the evaluation memo pays.
+// budgeted self joins) on a moderately reducible set, where ⊖'s
+// repeated witness-pair joins dominate.
 func BenchmarkFixedPoint(b *testing.B) {
 	d := benchDoc(b)
 	rng := rand.New(rand.NewSource(7))
@@ -161,7 +161,7 @@ func BenchmarkFixedPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FixedPointBounded(bg, NewEvalState(&c), f, 1<<30); err != nil {
+		if _, err := FixedPointBounded(bg, &c, f, 1<<30); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,34 +169,23 @@ func BenchmarkFixedPoint(b *testing.B) {
 	b.ReportMetric(float64(c.Joins())/float64(b.N), "joins/op")
 }
 
-// BenchmarkFilteredFixedPoint measures the push-down closure — the
-// loop a join-heavy search spends its time in — on a 64-fragment seed
-// set, under size ≤ 8 given two ways: opaque, a bare predicate, so
-// every pair is built and then asked; labels, the limit as Bounds (as
-// the query evaluator passes it), so over-limit pairs are rejected
-// from labels and never built.
+// BenchmarkFilteredFixedPoint measures the push-down closure on a
+// 64-fragment seed set under size ≤ 8: every pair is built and then
+// asked.
 func BenchmarkFilteredFixedPoint(b *testing.B) {
 	d := benchDoc(b)
 	pred := func(f Fragment) bool { return f.Size() <= 8 }
 	rng := rand.New(rand.NewSource(8))
 	f := randomSet(b, rng, d, 64, 2)
-	for _, v := range []struct {
-		name string
-		sel  Selection
-	}{
-		{"opaque", Selection{Keep: pred}},
-		{"labels", Selection{Bounds: Bounds{Size: 8}, Keep: pred}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := FilteredFixedPointBounded(bg, NewEvalState(nil), f, v.sel, 1<<30); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("opaque", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := FilteredFixedPointBounded(bg, nil, f, Selection{Keep: pred}, 1<<30); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkFragmentLeaves measures leaf extraction (Definition 8's

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/obs"
 )
 
 // MultiPowersetJoin generalizes the powerset fragment join to m ≥ 1
@@ -12,7 +14,7 @@ import (
 // associative and commutative. Exponential and bounded like
 // PowersetJoin; use MultiPowersetJoinFixedPoint for real inputs.
 func MultiPowersetJoin(sets []*Set) (*Set, error) {
-	rows, err := MultiPowersetJoinTrace(nil, NewEvalState(nil), sets, nil)
+	rows, err := MultiPowersetJoinTrace(nil, nil, sets, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -43,14 +45,11 @@ func MultiPowersetJoinFixedPoint(sets []*Set) *Set {
 // sets: one row per distinct candidate union intersecting every
 // operand, ordered by candidate size then lexicographically, flagging
 // duplicates and — if pred is non-nil — filtered rows. The joins and
-// one powerset expansion per candidate row count toward st. The
-// candidate enumeration — the literal exponential loop of Definition 6
-// — polls ctx once per row and once per amortized batch of member
-// joins. Candidate subsets share fold prefixes (Gosper enumeration
-// revisits the same low-index members), so the member joins run
-// through the evaluation state's pair memo.
-func MultiPowersetJoinTrace(ctx context.Context, st *EvalState, sets []*Set, pred func(Fragment) bool) ([]Candidate, error) {
-	c := st.Counters()
+// one powerset expansion per candidate row count toward c (nil-safe).
+// The candidate enumeration — the literal exponential loop of
+// Definition 6 — polls ctx once per row and once per amortized batch
+// of member joins.
+func MultiPowersetJoinTrace(ctx context.Context, c *obs.EvalCounters, sets []*Set, pred func(Fragment) bool) ([]Candidate, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
@@ -115,7 +114,7 @@ func MultiPowersetJoinTrace(ctx context.Context, st *EvalState, sets []*Set, pre
 				inputs = append(inputs, pool.At(i))
 			}
 		}
-		res := joinAllState(st, inputs)
+		res := joinAllCounted(c, inputs)
 		c.AddDedupProbes(1)
 		row := Candidate{Inputs: inputs, Result: res, Duplicate: !seen.Add(res)}
 		if pred != nil {
@@ -124,17 +123,4 @@ func MultiPowersetJoinTrace(ctx context.Context, st *EvalState, sets []*Set, pre
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// joinAllState folds the fragment join over fs through the evaluation
-// state's pair memo. Panics on an empty slice like JoinAll.
-func joinAllState(st *EvalState, fs []Fragment) Fragment {
-	if len(fs) == 0 {
-		panic("core: JoinAll of empty slice")
-	}
-	acc := fs[0]
-	for _, f := range fs[1:] {
-		acc = st.JoinMemo(acc, f)
-	}
-	return acc
 }

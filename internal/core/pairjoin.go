@@ -20,7 +20,7 @@ func mustSet(s *Set, err error) *Set {
 // NOT idempotent: joining a set with itself can create fragments not in
 // the set (Section 2.2).
 func PairwiseJoin(f1, f2 *Set) *Set {
-	return mustSet(PairwiseJoinBounded(nil, NewEvalState(nil), f1, f2, Selection{}, unbounded))
+	return mustSet(PairwiseJoinBounded(nil, nil, f1, f2, Selection{}, unbounded))
 }
 
 // PairwiseJoinFiltered is PairwiseJoin with a selection applied to
@@ -29,7 +29,7 @@ func PairwiseJoin(f1, f2 *Set) *Set {
 // Theorem 3: σ_Pa(F1 ⋈ F2) = σ_Pa(σ_Pa(F1) ⋈ σ_Pa(F2)); callers filter
 // the inputs themselves and pass the same predicate here.
 func PairwiseJoinFiltered(f1, f2 *Set, pred func(Fragment) bool) *Set {
-	return mustSet(PairwiseJoinBounded(nil, NewEvalState(nil), f1, f2, Selection{Keep: pred}, unbounded))
+	return mustSet(PairwiseJoinBounded(nil, nil, f1, f2, Selection{Keep: pred}, unbounded))
 }
 
 // SelfJoinTimes computes ⋈_n(F): the pairwise fragment join applied to
@@ -43,5 +43,5 @@ func PairwiseJoinFiltered(f1, f2 *Set, pred func(Fragment) bool) *Set {
 // have already met every element of F. This cuts the join count from
 // O(n·|F⁺|·|F|) to O(|F⁺|·|F|) without changing the result.
 func SelfJoinTimes(f *Set, n int) *Set {
-	return mustSet(SelfJoinTimesBounded(nil, NewEvalState(nil), f, n, unbounded))
+	return mustSet(SelfJoinTimesBounded(nil, nil, f, n, unbounded))
 }

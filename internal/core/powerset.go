@@ -88,7 +88,7 @@ func PowersetJoinTrace(f1, f2 *Set, pred func(Fragment) bool) ([]Candidate, erro
 	if f1.Len() == 0 || f2.Len() == 0 {
 		return nil, nil
 	}
-	return MultiPowersetJoinTrace(nil, NewEvalState(nil), []*Set{f1, f2}, pred)
+	return MultiPowersetJoinTrace(nil, nil, []*Set{f1, f2}, pred)
 }
 
 // SortCandidatesPaperStyle reorders trace rows the way Table 1 lays

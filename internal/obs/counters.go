@@ -25,7 +25,6 @@ type EvalCounters struct {
 	joinMemoHits  atomic.Uint64
 	dedupProbes   atomic.Uint64
 	postingPrunes atomic.Uint64
-	labelPrunes   atomic.Uint64
 	enumNodes     atomic.Uint64
 	enumPrunes    atomic.Uint64
 }
@@ -71,9 +70,9 @@ func (c *EvalCounters) AddFilterPrunes(n uint64) {
 }
 
 // AddJoinMemoHits counts n fragment joins answered without
-// recomputing Definition 4 — from the per-evaluation pair memo, or as
-// the commutative mirror of a pair just computed in a symmetric F × F
-// pass (the memoized kernel's savings, made visible).
+// recomputing Definition 4: the commutative mirror of a pair just
+// computed in a symmetric F × F pass. Each is also counted as a join,
+// so Joins − JoinMemoHits is the number of joins actually built.
 func (c *EvalCounters) AddJoinMemoHits(n uint64) {
 	if c != nil {
 		c.joinMemoHits.Add(n)
@@ -95,17 +94,6 @@ func (c *EvalCounters) AddDedupProbes(n uint64) {
 func (c *EvalCounters) AddPostingPrunes(n uint64) {
 	if c != nil {
 		c.postingPrunes.Add(n)
-	}
-}
-
-// AddLabelPrunes counts n fragment joins a pushed structural bound
-// rejected from the operands' labels, before the join was built. Each
-// is also counted as a join and as a filter prune, so Joins −
-// JoinMemoHits − LabelPrunes is the number of joins actually built
-// (the bound-before-build kernel's savings, made visible).
-func (c *EvalCounters) AddLabelPrunes(n uint64) {
-	if c != nil {
-		c.labelPrunes.Add(n)
 	}
 }
 
@@ -134,7 +122,8 @@ func (c *EvalCounters) Joins() uint64 {
 	return c.joins.Load()
 }
 
-// JoinMemoHits returns the memoized-join count (0 on a nil receiver).
+// JoinMemoHits returns the symmetric-mirror join count (0 on a nil
+// receiver).
 func (c *EvalCounters) JoinMemoHits() uint64 {
 	if c == nil {
 		return 0
@@ -155,7 +144,6 @@ func (c *EvalCounters) Reset() {
 	c.joinMemoHits.Store(0)
 	c.dedupProbes.Store(0)
 	c.postingPrunes.Store(0)
-	c.labelPrunes.Store(0)
 	c.enumNodes.Store(0)
 	c.enumPrunes.Store(0)
 }
@@ -175,14 +163,15 @@ func (c *EvalCounters) Snapshot() CounterSnapshot {
 		JoinMemoHits:         c.joinMemoHits.Load(),
 		DedupProbes:          c.dedupProbes.Load(),
 		PostingPrunes:        c.postingPrunes.Load(),
-		LabelPrunes:          c.labelPrunes.Load(),
 		EnumNodes:            c.enumNodes.Load(),
 		EnumPrunes:           c.enumPrunes.Load(),
 	}
 }
 
 // CounterSnapshot is a plain-value copy of an EvalCounters, embedded
-// in query statistics and serialized by the HTTP layer.
+// in query statistics and serialized by the HTTP layer. JoinMemoHits
+// keeps its name from when a per-evaluation pair memo also served
+// joins; it now counts symmetric mirrors only.
 type CounterSnapshot struct {
 	Joins                uint64 `json:"joins"`
 	PairwiseJoins        uint64 `json:"pairwise_joins"`
@@ -192,7 +181,6 @@ type CounterSnapshot struct {
 	JoinMemoHits         uint64 `json:"join_memo_hits"`
 	DedupProbes          uint64 `json:"dedup_probes"`
 	PostingPrunes        uint64 `json:"posting_prunes"`
-	LabelPrunes          uint64 `json:"label_prunes"`
 	EnumNodes            uint64 `json:"enum_nodes"`
 	EnumPrunes           uint64 `json:"enum_prunes"`
 }

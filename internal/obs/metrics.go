@@ -25,7 +25,6 @@ const (
 	MPowersetExpansions   = "powerset_expansions_total"
 	MFixedPointIterations = "fixedpoint_iterations_total"
 	MFilterPrunes         = "filter_prunes_total"
-	MLabelPrunes          = "label_prunes_total"
 	MEnumNodes            = "enum_nodes_total"
 	MEnumPrunes           = "enum_prunes_total"
 	MQuerySeconds         = "query_seconds"
@@ -345,7 +344,6 @@ func (m *Metrics) RecordEval(s CounterSnapshot, elapsed time.Duration, answers i
 	m.Counter(MPowersetExpansions).Add(s.PowersetExpansions)
 	m.Counter(MFixedPointIterations).Add(s.FixedPointIterations)
 	m.Counter(MFilterPrunes).Add(s.FilterPrunes)
-	m.Counter(MLabelPrunes).Add(s.LabelPrunes)
 	m.Counter(MEnumNodes).Add(s.EnumNodes)
 	m.Counter(MEnumPrunes).Add(s.EnumPrunes)
 	m.Counter(MPostingPrunes).Add(s.PostingPrunes)

@@ -15,7 +15,7 @@ func TestEvalCountersNilSafe(t *testing.T) {
 	c.AddPowersetExpansions(1)
 	c.AddFixedPointIterations(1)
 	c.AddFilterPrunes(1)
-	c.AddLabelPrunes(1)
+	c.AddEnumPrunes(1)
 	c.Reset()
 	if c.Joins() != 0 {
 		t.Fatalf("nil counters Joins = %d, want 0", c.Joins())
@@ -30,9 +30,9 @@ func TestEvalCountersSnapshotAndReset(t *testing.T) {
 	c.AddJoins(5)
 	c.AddPairwiseJoins(2)
 	c.AddFilterPrunes(7)
-	c.AddLabelPrunes(6)
+	c.AddEnumPrunes(6)
 	s := c.Snapshot()
-	if s.Joins != 5 || s.PairwiseJoins != 2 || s.FilterPrunes != 7 || s.LabelPrunes != 6 {
+	if s.Joins != 5 || s.PairwiseJoins != 2 || s.FilterPrunes != 7 || s.EnumPrunes != 6 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	c.Reset()
@@ -74,7 +74,7 @@ func TestMetricsNilSafe(t *testing.T) {
 
 func TestMetricsRecordEvalAndSnapshot(t *testing.T) {
 	m := NewMetrics()
-	m.RecordEval(CounterSnapshot{Joins: 10, FilterPrunes: 4, LabelPrunes: 3}, 2*time.Millisecond, 3)
+	m.RecordEval(CounterSnapshot{Joins: 10, FilterPrunes: 4, EnumPrunes: 3}, 2*time.Millisecond, 3)
 	m.RecordEval(CounterSnapshot{Joins: 5}, time.Millisecond, 1)
 	if got := m.Counter(MQueries).Value(); got != 2 {
 		t.Fatalf("%s = %d, want 2", MQueries, got)
@@ -86,8 +86,8 @@ func TestMetricsRecordEvalAndSnapshot(t *testing.T) {
 	if snap[MFilterPrunes] != uint64(4) {
 		t.Fatalf("snapshot %s = %v, want 4", MFilterPrunes, snap[MFilterPrunes])
 	}
-	if snap[MLabelPrunes] != uint64(3) {
-		t.Fatalf("snapshot %s = %v, want 3", MLabelPrunes, snap[MLabelPrunes])
+	if snap[MEnumPrunes] != uint64(3) {
+		t.Fatalf("snapshot %s = %v, want 3", MEnumPrunes, snap[MEnumPrunes])
 	}
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)

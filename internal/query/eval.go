@@ -117,9 +117,8 @@ type Result struct {
 }
 
 // EvalContext threads the per-evaluation state — the cancellation
-// context, the operator counters, the kernel state (pair-join memo)
-// and the (possibly nil) trace span — through the strategy
-// implementations.
+// context, the operator counters and the (possibly nil) trace span —
+// through the strategy implementations.
 type EvalContext struct {
 	// Ctx carries the evaluation deadline/cancellation; always non-nil
 	// inside EvaluateContext.
@@ -127,12 +126,6 @@ type EvalContext struct {
 	// Counters receives every operator count of this evaluation;
 	// always non-nil inside Evaluate.
 	Counters *obs.EvalCounters
-	// State is the per-evaluation join-kernel state (counters plus the
-	// pair-join memo), shared by every operator of the evaluation so
-	// pairs re-joined across operators — ⊖'s witness pairs re-met by
-	// the budgeted self joins, powerset fold prefixes — are served
-	// from the memo. Always non-nil inside EvaluateContext.
-	State *core.EvalState
 	// Span is the root trace span, nil when tracing is off (all span
 	// operations are nil-safe).
 	Span *obs.Span
@@ -219,7 +212,6 @@ func evaluate(ctx context.Context, x *index.Index, q Query, opts Options, emit f
 	}
 	start := time.Now()
 	ec := &EvalContext{Ctx: ctx, Counters: new(obs.EvalCounters)}
-	ec.State = core.NewEvalState(ec.Counters)
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		// A sampled request carries its span through ctx; root this
 		// evaluation's spans under it so the distributed trace covers
@@ -495,7 +487,7 @@ func evalBruteForce(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, bu
 	}
 	joinStart := time.Now()
 	sp := ctx.Span.Start("powerset-join", "")
-	rows, err := core.MultiPowersetJoinTrace(ctx.Ctx, ctx.State, seedSets(seeds), nil)
+	rows, err := core.MultiPowersetJoinTrace(ctx.Ctx, ctx.Counters, seedSets(seeds), nil)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
@@ -518,7 +510,7 @@ func budgetError(seeds, budget int) error {
 
 // fixedPointFn is the shape shared by the naive (checking) and
 // set-reduction (Theorem 1-budgeted) fixed-point computations.
-type fixedPointFn = func(context.Context, *core.EvalState, *core.Set, int) (*core.Set, error)
+type fixedPointFn = func(context.Context, *obs.EvalCounters, *core.Set, int) (*core.Set, error)
 
 // fixedPointFor picks the fixed-point computation for one seed set:
 // its per-set strategy when the chooser or plan decided per set, the
@@ -541,7 +533,7 @@ func fixedPointFor(stats *Stats, perSet []cost.Strategy, ref seedRef) fixedPoint
 func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budget int, perSet []cost.Strategy) (*core.Set, error) {
 	fpStart := time.Now()
 	sp := ctx.Span.Start("fixed-point", seeds[0].term)
-	acc, err := fixedPointFor(stats, perSet, seeds[0])(ctx.Ctx, ctx.State, seeds[0].set, budget)
+	acc, err := fixedPointFor(stats, perSet, seeds[0])(ctx.Ctx, ctx.Counters, seeds[0].set, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -551,7 +543,7 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 	for _, s := range seeds[1:] {
 		fpStart = time.Now()
 		spFP := ctx.Span.Start("fixed-point", s.term)
-		next, err := fixedPointFor(stats, perSet, s)(ctx.Ctx, ctx.State, s.set, budget)
+		next, err := fixedPointFor(stats, perSet, s)(ctx.Ctx, ctx.Counters, s.set, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -561,7 +553,7 @@ func evalFixedPoints(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, b
 		joinStart := time.Now()
 		spJ := ctx.Span.Start("pairwise-join", "")
 		inL, inR := acc.Len(), next.Len()
-		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, core.Selection{}, budget); err != nil {
+		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.Counters, acc, next, core.Selection{}, budget); err != nil {
 			return nil, err
 		}
 		spJ.Finish(acc.Len(), inL, inR)
@@ -588,7 +580,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 	push := q.pushSelection()
 	fpStart := time.Now()
 	sp := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(seeds[0].term, pushName))
-	acc, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, seeds[0].set, push, budget)
+	acc, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.Counters, seeds[0].set, push, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -598,7 +590,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 	for _, s := range seeds[1:] {
 		fpStart = time.Now()
 		spFP := ctx.Span.Start("filtered-fixed-point", spanFilterDetail(s.term, pushName))
-		next, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.State, s.set, push, budget)
+		next, err := core.FilteredFixedPointBounded(ctx.Ctx, ctx.Counters, s.set, push, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -608,7 +600,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 		joinStart := time.Now()
 		spJ := ctx.Span.Start("filtered-pairwise-join", pushName)
 		inL, inR := acc.Len(), next.Len()
-		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.State, acc, next, push, budget); err != nil {
+		if acc, err = core.PairwiseJoinBounded(ctx.Ctx, ctx.Counters, acc, next, push, budget); err != nil {
 			return nil, err
 		}
 		spJ.Finish(acc.Len(), inL, inR)
@@ -627,7 +619,7 @@ func evalPushDown(ctx *EvalContext, seeds []seedRef, q Query, stats *Stats, budg
 func evalEnumerate(ctx *EvalContext, doc *xmltree.Document, groups [][]xmltree.NodeID, q Query, stats *Stats, budget int) (*core.Set, error) {
 	start := time.Now()
 	sp := ctx.Span.Start("enumerate", pushableName(ctx, q))
-	cands, err := core.EnumerateAnswers(ctx.Ctx, ctx.State, doc, groups, q.pushSelection(), budget)
+	cands, err := core.EnumerateAnswers(ctx.Ctx, ctx.Counters, doc, groups, q.pushSelection(), budget)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +641,7 @@ func evalEnumerateEach(ctx *EvalContext, doc *xmltree.Document, groups [][]xmltr
 	sp := ctx.Span.Start("enumerate", pushableName(ctx, q))
 	residual := q.residualFunc()
 	cands, n := 0, 0
-	err := core.EnumerateEach(ctx.Ctx, ctx.State, doc, groups, q.pushSelection(), budget, func(f core.Fragment) error {
+	err := core.EnumerateEach(ctx.Ctx, ctx.Counters, doc, groups, q.pushSelection(), budget, func(f core.Fragment) error {
 		cands++
 		if residual != nil && !residual(f) {
 			return nil

@@ -257,10 +257,10 @@ func (q Query) residualFunc() func(core.Fragment) bool {
 }
 
 // pushSelection is Pushable as the kernel's selection, for the
-// filtered fixed points and joins of the push-down strategy: the
-// structural limits as Bounds, so the join loops decide them from
-// labels before building a pair, and every other pushed clause
-// (cheap first) as Keep, asked only of the joins that are built.
+// enumerator and for the filtered fixed points and joins of the
+// push-down strategy: the structural limits as Bounds, which the
+// enumerator checks from labels before it copies a partial, and every
+// other pushed clause (cheap first) as Keep.
 func (q Query) pushSelection() core.Selection {
 	var rest []filter.Filter
 	for _, f := range q.Filters {

@@ -314,7 +314,9 @@ type HTTPConfig = httpapi.Config
 // now as a JSON search API under /api/v1 (see internal/httpapi for
 // endpoints). The handler serves an in-memory store loaded from c at
 // call time: later changes go through POST and DELETE /api/v1/docs,
-// not through c.
+// not through c. The handler also implements io.Closer: Close stops
+// the server and the store it opened, whose ingest and standing-query
+// workers otherwise run for the life of the process.
 func NewHTTPHandler(c *Collection) http.Handler { return NewHTTPHandlerWithConfig(c, HTTPConfig{}) }
 
 // NewHTTPHandlerWithConfig is NewHTTPHandler with explicit deadline
@@ -334,7 +336,17 @@ func NewHTTPHandlerWithConfig(c *Collection, cfg HTTPConfig) http.Handler {
 			}
 		}
 	}
-	return httpapi.NewStoreWithConfig(st, cfg)
+	return storeHandler{httpapi.NewStoreWithConfig(st, cfg)}
+}
+
+// storeHandler is the handler NewHTTPHandler returns: a server over
+// an in-memory store that only the handler holds.
+type storeHandler struct{ *httpapi.Server }
+
+// Close stops the server, then the store it serves.
+func (h storeHandler) Close() error {
+	h.Server.Close()
+	return h.Store().Close(context.Background())
 }
 
 // FragmentXML serializes a fragment as a well-formed XML snippet of

@@ -3,7 +3,10 @@ package xfrag_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
+	"time"
 
 	xfrag "repro"
 )
@@ -73,6 +76,33 @@ func TestFacadeGenerator(t *testing.T) {
 	}
 	if _, err := xfrag.ParseDocument("x.xml", "<a><b>hi</b></a>"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHTTPHandlerCloseStopsWorkers opens and closes ten handlers over
+// Figure 1: each opens a store with ingest workers and a standing-query
+// worker, and Close must stop them all.
+func TestHTTPHandlerCloseStopsWorkers(t *testing.T) {
+	coll := xfrag.NewCollection()
+	if err := coll.Add(xfrag.FigureOneDocument()); err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		c, ok := xfrag.NewHTTPHandler(coll).(io.Closer)
+		if !ok {
+			t.Fatal("the handler does not implement io.Closer")
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after closing 10 handlers, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
