@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race cover bench bench-build bench-json bench-compare fuzz fuzz-smoke repl-integration index-integration watch-integration experiments tools clean
+.PHONY: all build test check race cover bench bench-build fuzz fuzz-smoke repl-integration index-integration watch-integration experiments tools clean
 
 all: build check
 
@@ -15,21 +15,19 @@ test:
 # whole suite under the race detector (the observability layer counts
 # from worker goroutines, so race coverage is part of correctness
 # here), then the overload tests again explicitly — the admission
-# controller's shed path must hold under the race detector — the
-# allocation pins (unsampled tracing allocates nothing extra; a
-# join-heavy top-10 search and the posting prefilter allocate no more
-# for more answers or postings: the search tail's host-independent
-# proxy), run without -race, which changes allocation counts, and the
-# cancellation/trace overhead benchmarks, which keep the cost of
+# controller's shed path must hold under the race detector — every
+# allocation pin (each test with "Alloc" in its name: exact allocs per
+# operation for the kernel, enumerator, tracing, planner and standing
+# delta, and allocations that do not grow with answers or postings,
+# the search tail's host-independent proxy) again without -race, and
+# the cancellation/trace overhead benchmarks, which keep the cost of
 # threading a context (and a span) through the join loops visible on
-# every run.
+# every run. Timing is gated only by benchmark/run.sh.
 check: bench-build
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run Overload ./internal/httpapi/
-	$(GO) test -run TestTraceOverheadZeroAlloc -count=1 ./internal/query/
-	$(GO) test -run TestRunTopAllocsFlat -count=1 ./internal/collection/
-	$(GO) test -run TestCandidatesAllocsFlat -count=1 ./internal/gindex/
+	$(GO) test -run 'Alloc' -count=1 ./...
 	$(GO) test -run xxx -bench 'BenchmarkCancellationOverhead|BenchmarkTraceOverhead' -benchtime 200ms ./internal/query/
 
 # bench-build compiles and vets benchmark/ with the environment of
@@ -49,36 +47,6 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json runs the kernel benchmarks (plus the join-heaviest
-# end-to-end workload, BenchmarkRFSweep, the ranker's full and top-k
-# cuts, and the trace-overhead pair, which gates the cost of the
-# tracing plumbing on the push-down hot path) and emits BENCH_core.json (ns/op, allocs/op, B/op, joins/op)
-# via cmd/benchjson. BENCHTIME trades precision for CI wall clock; the
-# RF sweep is pinned to a single iteration — one op is millions of
-# joins, and allocs/op (the hard-gated number) is deterministic at any
-# iteration count.
-BENCHTIME ?= 1s
-bench-json:
-	( $(GO) test -run xxx -bench . -benchtime $(BENCHTIME) ./internal/core/ && \
-	  $(GO) test -run xxx -bench BenchmarkTraceOverhead -benchtime $(BENCHTIME) ./internal/query/ && \
-	  $(GO) test -run xxx -bench BenchmarkRank -benchtime $(BENCHTIME) ./internal/ranking/ && \
-	  $(GO) test -run xxx -bench BenchmarkPostingSelection -benchtime $(BENCHTIME) ./internal/gindex/ && \
-	  $(GO) test -run xxx -bench BenchmarkStandingDelta -benchtime $(BENCHTIME) ./internal/standing/ && \
-	  $(GO) test -run xxx -bench BenchmarkPlanChoose -benchtime $(BENCHTIME) ./internal/engine/ && \
-	  $(GO) test -run xxx -bench . -benchtime 1x ./internal/bench/ ) \
-		| $(GO) run ./cmd/benchjson parse > BENCH_core.json
-
-# bench-compare gates the fresh BENCH_core.json against the committed
-# baseline: BENCH_baseline.txt is the raw output of the one bench-json
-# run (one machine) that BENCH_core.json was parsed from — regenerate
-# the two together. Only allocs/op is gated hard (it is
-# deterministic); ns/op is gated at a coarse threshold that catches
-# order-of-magnitude regressions without tripping on shared-runner
-# noise.
-bench-compare:
-	$(GO) run ./cmd/benchjson compare BENCH_baseline.txt BENCH_core.json \
-		-gate-allocs 10 -gate-ns 300
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/xmltree/

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/docgen"
@@ -170,57 +171,69 @@ func TestEnumerateAllocs(t *testing.T) {
 		t.Fatalf("%.0f more allocations for %d more answers, want at most one per 16", grown, m-n)
 	}
 	t.Logf("%.0f allocations for %d answers, %.0f for %d", small, n, large, m)
-}
 
-// BenchmarkEnumerateAnswers runs the enumerator on the inputs of
-// BenchmarkFilteredFixedPoint/opaque — the roots of its 64 seed
-// fragments as one group, under size ≤ 8 — so the two rows compare
-// the push-down closure with the enumeration it replaces under auto.
-func BenchmarkEnumerateAnswers(b *testing.B) {
-	d := benchDoc(b)
-	rng := rand.New(rand.NewSource(8))
-	f := randomSet(b, rng, d, 64, 2)
-	roots := make([]xmltree.NodeID, 0, f.Len())
-	for _, fr := range f.Fragments() {
-		roots = append(roots, fr.Root())
-	}
-	groups := [][]xmltree.NodeID{roots}
-	sel := Selection{Bounds: Bounds{Size: 8}}
-	var c obs.EvalCounters
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateAnswers(bg, &c, d, groups, sel, 1<<30); err != nil {
-			b.Fatal(err)
+	// The two benchmark rows, pinned at their counts: one more
+	// allocation per op fails.
+	runtime.GC() // the first collection allocates its mark workers
+	for _, row := range []struct {
+		name  string
+		build func(testing.TB, *obs.EvalCounters) func()
+		want  float64
+	}{{"EnumerateAnswers", enumerateAnswersOp, 32}, {"EnumerateEach", enumerateEachOp, 0}} {
+		if got := testing.AllocsPerRun(20, row.build(t, new(obs.EvalCounters))); got != row.want {
+			t.Errorf("%s allocates %.0f times per op, pinned at %.0f", row.name, got, row.want)
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(c.Snapshot().EnumNodes)/float64(b.N), "enum-nodes/op")
 }
 
-// BenchmarkEnumerateEach is BenchmarkEnumerateAnswers through the
-// visitor: the answers are counted as they stream out and no set is
-// built, which is how the search path consumes them.
-func BenchmarkEnumerateEach(b *testing.B) {
-	d := benchDoc(b)
+// enumerateInput is the input of BenchmarkFilteredFixedPoint/opaque as
+// the enumerator takes it — the roots of its 64 seed fragments as one
+// group, under size ≤ 8 — so the two rows compare the push-down
+// closure with the enumeration it replaces under auto.
+func enumerateInput(tb testing.TB) (*xmltree.Document, [][]xmltree.NodeID, Selection) {
+	d := benchDoc(tb)
 	rng := rand.New(rand.NewSource(8))
-	f := randomSet(b, rng, d, 64, 2)
+	f := randomSet(tb, rng, d, 64, 2)
 	roots := make([]xmltree.NodeID, 0, f.Len())
 	for _, fr := range f.Fragments() {
 		roots = append(roots, fr.Root())
 	}
-	groups := [][]xmltree.NodeID{roots}
-	sel := Selection{Bounds: Bounds{Size: 8}}
-	var c obs.EvalCounters
+	return d, [][]xmltree.NodeID{roots}, Selection{Bounds: Bounds{Size: 8}}
+}
+
+// enumerateAnswersOp builds the answer set.
+func enumerateAnswersOp(tb testing.TB, c *obs.EvalCounters) func() {
+	d, groups, sel := enumerateInput(tb)
+	return func() {
+		if _, err := EnumerateAnswers(bg, c, d, groups, sel, 1<<30); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// enumerateEachOp streams the same answers through the visitor,
+// counting them as they come and building no set, which is how the
+// search path consumes them.
+func enumerateEachOp(tb testing.TB, c *obs.EvalCounters) func() {
+	d, groups, sel := enumerateInput(tb)
 	answers := 0
 	count := func(Fragment) error { answers++; return nil }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := EnumerateEach(bg, &c, d, groups, sel, 1<<30, count); err != nil {
-			b.Fatal(err)
+	return func() {
+		if err := EnumerateEach(bg, c, d, groups, sel, 1<<30, count); err != nil {
+			tb.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkEnumerateAnswers(b *testing.B) { benchEnumerate(b, enumerateAnswersOp) }
+
+func BenchmarkEnumerateEach(b *testing.B) { benchEnumerate(b, enumerateEachOp) }
+
+// benchEnumerate times one enumerator op, reporting the nodes it
+// visits alongside time and allocations.
+func benchEnumerate(b *testing.B, build func(testing.TB, *obs.EvalCounters) func()) {
+	var c obs.EvalCounters
+	benchOp(b, build(b, &c))
 	b.StopTimer()
 	b.ReportMetric(float64(c.Snapshot().EnumNodes)/float64(b.N), "enum-nodes/op")
 }

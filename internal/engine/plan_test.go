@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -67,8 +68,12 @@ func TestPlanCacheHitMissReplan(t *testing.T) {
 }
 
 // TestPlanCacheHitZeroAlloc pins the acceptance criterion: the
-// cached-plan auto path performs zero strategy-choice allocations.
+// cached-plan auto path performs zero strategy-choice allocations. It
+// also pins BenchmarkPlanChoose/cold at its count: compiling a plan
+// from shard statistics into a new cache allocates 15 times, and one
+// more fails.
 func TestPlanCacheHitZeroAlloc(t *testing.T) {
+	runtime.GC() // the first collection allocates its mark workers
 	sh := planStatsShard(t, 3)
 	pc := NewPlanCache(16, 0)
 	q := query.MustNew([]string{"section", "xquery"})
@@ -83,6 +88,11 @@ func TestPlanCacheHitZeroAlloc(t *testing.T) {
 		t.Fatalf("cached plan lookup allocated %v allocs/run, want 0", allocs)
 	}
 	_ = sink
+
+	cold := planColdOp(t, planStatsShard(t, 50))
+	if allocs := testing.AllocsPerRun(100, cold); allocs != 15 {
+		t.Errorf("cold plan allocated %v allocs/run, pinned at 15", allocs)
+	}
 }
 
 func TestPlanCacheEvictsLRU(t *testing.T) {
@@ -120,6 +130,18 @@ func TestPlanKeyDistinguishesShapes(t *testing.T) {
 	}
 }
 
+// planColdOp compiles the benchmark query's plan from the shard's
+// statistics into a new plan cache.
+func planColdOp(tb testing.TB, sh *stats.Shard) func() {
+	ch := cost.DefaultChooser()
+	q := query.MustNew([]string{"section", "xquery", "optimization"})
+	return func() {
+		if _, outcome := NewPlanCache(16, 0).Plan(q, ch, sh); outcome != PlanMiss {
+			tb.Fatalf("outcome %v, want miss", outcome)
+		}
+	}
+}
+
 // BenchmarkPlanChoose measures the planner's two paths: compiling a
 // plan from shard statistics (cold) and serving it from the plan cache
 // (cached, the per-query hot path, gated at zero allocations).
@@ -129,11 +151,10 @@ func BenchmarkPlanChoose(b *testing.B) {
 	q := query.MustNew([]string{"section", "xquery", "optimization"})
 
 	b.Run("cold", func(b *testing.B) {
+		cold := planColdOp(b, sh)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, outcome := NewPlanCache(16, 0).Plan(q, ch, sh); outcome != PlanMiss {
-				b.Fatalf("outcome %v, want miss", outcome)
-			}
+			cold()
 		}
 	})
 	b.Run("cached", func(b *testing.B) {

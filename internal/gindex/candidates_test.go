@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -356,4 +357,10 @@ func TestCandidatesAllocsFlat(t *testing.T) {
 		t.Fatalf("%.1f allocations at 64 witnesses per document, %.1f at 2: allocations track postings", dense, sparse)
 	}
 	t.Logf("%.1f allocations per call at 2 and %.1f at 64 witnesses per document", sparse, dense)
+
+	// BenchmarkPostingSelection's row, pinned at its count.
+	runtime.GC() // the first collection allocates its mark workers
+	if got := testing.AllocsPerRun(20, postingSelectionOp(t)); got != 10 {
+		t.Errorf("posting selection allocates %.1f times per call, pinned at 10", got)
+	}
 }

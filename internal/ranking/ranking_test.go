@@ -3,6 +3,7 @@ package ranking
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -372,25 +373,40 @@ func TestTopAllocsFlat(t *testing.T) {
 	if large > small {
 		t.Fatalf("Top(·, 10) allocates %v times over %d answers, %v over %d", large, nLarge, small, nSmall)
 	}
+
+	// BenchmarkRank's rows, pinned at their count: ranking all of its
+	// answers, or keeping the top 10, allocates the result slice once.
+	runtime.GC() // the first collection allocates its mark workers
+	r, answers := rankInput(t)
+	for _, k := range []int{0, 10} {
+		if got := testing.AllocsPerRun(20, func() { r.Top(answers, k) }); got != 1 {
+			t.Errorf("Top(·, %d) over %d answers allocates %v times, pinned at 1", k, answers.Len(), got)
+		}
+	}
 }
 
-var rankSink []Scored
-
-func BenchmarkRank(b *testing.B) {
+// rankInput is BenchmarkRank's ranker and the answers it ranks.
+func rankInput(tb testing.TB) (*Ranker, *core.Set) {
 	d, err := docgen.Generate(docgen.Config{
 		Seed: 3, Sections: 20, MeanFanout: 3, Depth: 2, VocabSize: 30, ParLength: 4,
 		Plant: map[string]int{"alpha": 60, "beta": 60},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	x := index.New(d)
 	q := query.MustNew([]string{"alpha", "beta"}, filter.MaxSize(4))
 	res, err := query.Evaluate(x, q, query.Options{Auto: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	r := New(x, q.Terms, DefaultWeights())
+	return New(x, q.Terms, DefaultWeights()), res.Answers
+}
+
+var rankSink []Scored
+
+func BenchmarkRank(b *testing.B) {
+	r, answers := rankInput(b)
 	for _, bc := range []struct {
 		name string
 		k    int
@@ -398,9 +414,9 @@ func BenchmarkRank(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rankSink = r.Top(res.Answers, bc.k)
+				rankSink = r.Top(answers, bc.k)
 			}
-			b.ReportMetric(float64(res.Answers.Len()), "answers/op")
+			b.ReportMetric(float64(answers.Len()), "answers/op")
 		})
 	}
 }

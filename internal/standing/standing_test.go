@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -443,11 +444,9 @@ func TestRegisterLimitAndLookup(t *testing.T) {
 	}
 }
 
-// BenchmarkStandingDelta is the acceptance benchmark: maintaining a
-// standing query's view through one document change (delta) versus
-// re-evaluating the query over the whole 300-document corpus (full).
-// The delta path must be ≥5× faster.
-func BenchmarkStandingDelta(b *testing.B) {
+// standingCorpus is the 300-document collection the standing-query
+// benchmark and its allocation pins run on.
+func standingCorpus(tb testing.TB) (*collection.Collection, []*xmltree.Document) {
 	coll := collection.New()
 	docs := make([]*xmltree.Document, 300)
 	for i := range docs {
@@ -455,44 +454,86 @@ func BenchmarkStandingDelta(b *testing.B) {
 		xml := fmt.Sprintf("<doc><sec><par>alpha beta corpus %d</par><par>more filler text here</par></sec></doc>", i)
 		doc, err := xmltree.ParseString(name, xml)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		docs[i] = doc
 		if err := coll.Add(doc); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return coll, docs
+}
 
-	b.Run("delta", func(b *testing.B) {
-		b.ReportAllocs()
-		r := NewRegistry(coll, Options{Metrics: obs.NewMetrics()})
-		defer r.Close()
-		coll.SetChangeListener(r.Notify)
-		defer coll.SetChangeListener(nil)
-		if _, err := r.Register("alpha beta", "size<=3", query.Options{Auto: true}, ""); err != nil {
-			b.Fatal(err)
+// standingDeltaOp maintains a standing query's view through one
+// document change: replace the next document and wait until the delta
+// worker has applied it.
+func standingDeltaOp(tb testing.TB, coll *collection.Collection, docs []*xmltree.Document) func() {
+	r := newTestRegistry(tb, coll, Options{})
+	tb.Cleanup(func() { coll.SetChangeListener(nil) })
+	if _, err := r.Register("alpha beta", "size<=3", query.Options{Auto: true}, ""); err != nil {
+		tb.Fatal(err)
+	}
+	i := 0
+	return func() {
+		coll.Replace(docs[i%len(docs)])
+		i++
+		if err := r.Drain(context.Background()); err != nil {
+			tb.Fatal(err)
 		}
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			coll.Replace(docs[i%len(docs)])
-			if err := r.Drain(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+}
 
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		r := NewRegistry(coll, Options{Metrics: obs.NewMetrics()})
-		defer r.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sub, err := r.Register("alpha beta", "size<=3", query.Options{Auto: true}, "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			r.Cancel(sub.ID())
+// standingFullOp re-evaluates the query over the whole corpus, which
+// is what registering it costs.
+func standingFullOp(tb testing.TB, coll *collection.Collection) func() {
+	r := NewRegistry(coll, Options{Metrics: obs.NewMetrics()})
+	tb.Cleanup(r.Close)
+	return func() {
+		sub, err := r.Register("alpha beta", "size<=3", query.Options{Auto: true}, "")
+		if err != nil {
+			tb.Fatal(err)
 		}
-	})
+		r.Cancel(sub.ID())
+	}
+}
+
+// BenchmarkStandingDelta is the acceptance benchmark: maintaining a
+// standing query's view through one document change (delta) versus
+// re-evaluating the query over the whole 300-document corpus (full).
+// The delta path must be ≥5× faster.
+func BenchmarkStandingDelta(b *testing.B) {
+	coll, docs := standingCorpus(b)
+	for _, bc := range []struct {
+		name  string
+		build func(testing.TB) func()
+	}{
+		{"delta", func(tb testing.TB) func() { return standingDeltaOp(tb, coll, docs) }},
+		{"full", func(tb testing.TB) func() { return standingFullOp(tb, coll) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			op := bc.build(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+// TestStandingDeltaAllocs pins both benchmark rows at their counts:
+// one more allocation per maintained change, or per full
+// re-evaluation, fails.
+func TestStandingDeltaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts differ under -race")
+	}
+	runtime.GC() // the first collection allocates its mark workers
+	coll, docs := standingCorpus(t)
+	if got := testing.AllocsPerRun(100, standingDeltaOp(t, coll, docs)); got != 42 {
+		t.Errorf("a delta allocates %.0f times, pinned at 42", got)
+	}
+	if got := testing.AllocsPerRun(10, standingFullOp(t, coll)); got != 4544 {
+		t.Errorf("a full re-evaluation allocates %.0f times, pinned at 4544", got)
+	}
 }
